@@ -57,12 +57,13 @@ impl CancelToken {
         }
     }
 
-    /// A token that additionally expires `timeout` from now.
+    /// A token that additionally expires `timeout` from now. A timeout
+    /// past the end of the clock's range never expires.
     pub fn with_timeout(timeout: Duration) -> Self {
         CancelToken {
             inner: Arc::new(Inner {
                 cancelled: AtomicBool::new(false),
-                deadline: Some(Instant::now() + timeout),
+                deadline: Instant::now().checked_add(timeout),
                 parent: None,
             }),
         }
@@ -85,12 +86,13 @@ impl CancelToken {
 
     /// A child token linked to `parent` that additionally expires
     /// `timeout` from now — the per-attempt shape: a wall-clock budget
-    /// under a batch-wide cancel.
+    /// under a batch-wide cancel. As with [`CancelToken::with_timeout`], a
+    /// timeout past the end of the clock's range never expires.
     pub fn linked_with_timeout(parent: &CancelToken, timeout: Duration) -> Self {
         CancelToken {
             inner: Arc::new(Inner {
                 cancelled: AtomicBool::new(false),
-                deadline: Some(Instant::now() + timeout),
+                deadline: Instant::now().checked_add(timeout),
                 parent: Some(Arc::clone(&parent.inner)),
             }),
         }
@@ -164,6 +166,20 @@ impl Default for CancelToken {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `--point-timeout` accepts any finite `Duration`; one the clock
+    /// cannot add must mean "never", not an overflow panic.
+    #[test]
+    fn timeout_beyond_the_clock_never_expires() {
+        let root = CancelToken::new();
+        for t in [
+            CancelToken::with_timeout(Duration::MAX),
+            CancelToken::linked_with_timeout(&root, Duration::MAX),
+        ] {
+            assert!(!t.expired_at(0));
+            assert!(!t.is_cancelled());
+        }
+    }
 
     #[test]
     fn explicit_cancel_latches_and_is_shared() {

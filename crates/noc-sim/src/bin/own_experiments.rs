@@ -176,368 +176,134 @@ fn main() {
     let mut sweep_status_dirs: Vec<String> = Vec::new();
     let mut run_dir: Option<String> = None;
     let mut sup_cfg = SupervisorConfig::default();
-    let mut args_iter = args.iter().peekable();
-    while let Some(a) = args_iter.next() {
-        match a.as_str() {
-            "metrics" => {
-                let Some(f) = args_iter.next() else {
-                    eprintln!("metrics requires a JSONL file written by --metrics-out");
-                    std::process::exit(exit::USAGE);
-                };
-                summarize_files.push(f.clone());
-            }
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        let flag = a.as_str();
+        if sup_cfg.apply_flag(flag, &mut it) {
+            continue;
+        }
+        match flag {
+            "metrics" => summarize_files.push(exit::flag_value(
+                &mut it,
+                flag,
+                "a JSONL file written by --metrics-out",
+            )),
             "sweep" => {
-                let Some(f) = args_iter.next() else {
-                    eprintln!("sweep requires a sweep spec JSON file (see EXPERIMENTS.md)");
-                    std::process::exit(exit::USAGE);
-                };
-                sweep_spec_file = Some(f.clone());
+                sweep_spec_file = Some(exit::flag_value(
+                    &mut it,
+                    flag,
+                    "a sweep spec JSON file (see EXPERIMENTS.md)",
+                ));
             }
             "sweep-status" => {
-                let Some(d) = args_iter.next() else {
-                    eprintln!("sweep-status requires a run directory");
-                    std::process::exit(exit::USAGE);
-                };
-                sweep_status_dirs.push(d.clone());
+                sweep_status_dirs.push(exit::flag_value(&mut it, flag, "a run directory"));
             }
-            "--run-dir" => {
-                let Some(d) = args_iter.next() else {
-                    eprintln!("--run-dir requires a directory path");
-                    std::process::exit(exit::USAGE);
-                };
-                run_dir = Some(d.clone());
-            }
-            "--point-timeout" => {
-                let Some(s) = args_iter.next() else {
-                    eprintln!("--point-timeout requires seconds per point");
-                    std::process::exit(exit::USAGE);
-                };
-                let secs: f64 = s.parse().unwrap_or_else(|_| {
-                    eprintln!("--point-timeout: not a duration in seconds: {s}");
-                    std::process::exit(exit::USAGE);
-                });
-                if !(secs > 0.0 && secs.is_finite()) {
-                    eprintln!("--point-timeout must be a positive number of seconds");
-                    std::process::exit(exit::USAGE);
-                }
-                sup_cfg.point_timeout = Some(std::time::Duration::from_secs_f64(secs));
-            }
-            "--point-retries" => {
-                let Some(s) = args_iter.next() else {
-                    eprintln!("--point-retries requires a count (reruns after the first attempt)");
-                    std::process::exit(exit::USAGE);
-                };
-                sup_cfg.point_retries = s.parse().unwrap_or_else(|_| {
-                    eprintln!("--point-retries: not a count: {s}");
-                    std::process::exit(exit::USAGE);
-                });
-            }
+            "--run-dir" => run_dir = Some(exit::flag_value(&mut it, flag, "a directory path")),
             "--max-failures" => {
-                let Some(s) = args_iter.next() else {
-                    eprintln!("--max-failures requires a count of gave-up points");
-                    std::process::exit(exit::USAGE);
-                };
-                let n: usize = s.parse().unwrap_or_else(|_| {
-                    eprintln!("--max-failures: not a count: {s}");
-                    std::process::exit(exit::USAGE);
+                let n = exit::flag_value_if(&mut it, flag, "a count of gave-up points >= 1", |n| {
+                    *n >= 1
                 });
-                if n == 0 {
-                    eprintln!("--max-failures must be >= 1");
-                    std::process::exit(exit::USAGE);
-                }
                 sup_cfg.max_failures = Some(n);
             }
-            "--point-checkpoint" => {
-                let Some(s) = args_iter.next() else {
-                    eprintln!("--point-checkpoint requires a cycle count");
-                    std::process::exit(exit::USAGE);
-                };
-                sup_cfg.checkpoint_every = s.parse().unwrap_or_else(|_| {
-                    eprintln!("--point-checkpoint: not a cycle count: {s}");
-                    std::process::exit(exit::USAGE);
-                });
-                if sup_cfg.checkpoint_every == 0 {
-                    eprintln!("--point-checkpoint must be >= 1");
-                    std::process::exit(exit::USAGE);
-                }
-            }
-            "--max-points" => {
-                let Some(s) = args_iter.next() else {
-                    eprintln!("--max-points requires a point count cap (0 = unlimited)");
-                    std::process::exit(exit::USAGE);
-                };
-                let n: usize = s.parse().unwrap_or_else(|_| {
-                    eprintln!("--max-points: not a count: {s}");
-                    std::process::exit(exit::USAGE);
-                });
-                sup_cfg.point_cap = (n > 0).then_some(n);
-            }
-            "--point-backoff-ms" => {
-                let Some(s) = args_iter.next() else {
-                    eprintln!("--point-backoff-ms requires a duration in milliseconds");
-                    std::process::exit(exit::USAGE);
-                };
-                let ms: u64 = s.parse().unwrap_or_else(|_| {
-                    eprintln!("--point-backoff-ms: not a duration: {s}");
-                    std::process::exit(exit::USAGE);
-                });
-                sup_cfg.backoff_base = std::time::Duration::from_millis(ms);
-            }
             "--metrics-out" => {
-                let Some(f) = args_iter.next() else {
-                    eprintln!("--metrics-out requires an output file path");
-                    std::process::exit(exit::USAGE);
-                };
-                metrics_out = Some(f.clone());
+                metrics_out = Some(exit::flag_value(&mut it, flag, "an output file path"));
             }
             "--metrics-interval" => {
-                let Some(s) = args_iter.next() else {
-                    eprintln!("--metrics-interval requires a cycle count");
-                    std::process::exit(exit::USAGE);
-                };
-                metrics_interval = s.parse().unwrap_or_else(|_| {
-                    eprintln!("--metrics-interval: not a cycle count: {s}");
-                    std::process::exit(exit::USAGE);
-                });
-                if metrics_interval == 0 {
-                    eprintln!("--metrics-interval must be >= 1");
-                    std::process::exit(exit::USAGE);
-                }
+                metrics_interval =
+                    exit::flag_value_if(&mut it, flag, "a cycle count >= 1", |n| *n >= 1);
             }
-            "--spec" => {
-                let Some(f) = args_iter.next() else {
-                    eprintln!("--spec requires a file path");
-                    std::process::exit(exit::USAGE);
-                };
-                spec_files.push(f.clone());
-            }
-            "--trace" => {
-                let Some(f) = args_iter.next() else {
-                    eprintln!("--trace requires an output file path");
-                    std::process::exit(exit::USAGE);
-                };
-                trace_file = Some(f.clone());
-            }
+            "--spec" => spec_files.push(exit::flag_value(&mut it, flag, "a file path")),
+            "--trace" => trace_file = Some(exit::flag_value(&mut it, flag, "an output file path")),
             "--sample-interval" => {
-                let Some(n) = args_iter.next() else {
-                    eprintln!("--sample-interval requires a cycle count");
-                    std::process::exit(exit::USAGE);
-                };
-                sample_interval = n.parse().unwrap_or_else(|_| {
-                    eprintln!("--sample-interval: not a cycle count: {n}");
-                    std::process::exit(exit::USAGE);
-                });
-                if sample_interval == 0 {
-                    eprintln!("--sample-interval must be >= 1");
-                    std::process::exit(exit::USAGE);
-                }
+                sample_interval =
+                    exit::flag_value_if(&mut it, flag, "a cycle count >= 1", |n| *n >= 1);
             }
+            // Validated once the flags are read, against a built network.
             "--faults" => {
-                let Some(s) = args_iter.next() else {
-                    eprintln!("--faults requires a schedule spec (e.g. band:3@5000)");
-                    std::process::exit(exit::USAGE);
-                };
-                resilience_opts.faults = Some(s.clone());
+                resilience_opts.faults =
+                    Some(exit::flag_value(&mut it, flag, "a schedule spec (e.g. band:3@5000)"));
             }
             "--ber" => {
-                let Some(s) = args_iter.next() else {
-                    eprintln!("--ber requires a bit error rate");
-                    std::process::exit(exit::USAGE);
-                };
-                let rate: f64 = s.parse().unwrap_or_else(|_| {
-                    eprintln!("--ber: not a rate: {s}");
-                    std::process::exit(exit::USAGE);
-                });
-                if !(0.0..=1.0).contains(&rate) {
-                    eprintln!("--ber must be a probability in [0, 1], got {rate}");
-                    std::process::exit(exit::USAGE);
-                }
-                resilience_opts.ber = Some(rate);
+                resilience_opts.ber =
+                    Some(exit::flag_value_if(&mut it, flag, "a probability in [0, 1]", |p| {
+                        (0.0..=1.0).contains(p)
+                    }));
             }
             "--retry-limit" => {
-                let Some(s) = args_iter.next() else {
-                    eprintln!(
-                        "--retry-limit requires a count in 0..=255 \
-                         (0 = drop on first corrupt delivery, 255 = retry forever)"
-                    );
-                    std::process::exit(exit::USAGE);
-                };
-                resilience_opts.retry_limit = Some(s.parse().unwrap_or_else(|_| {
-                    eprintln!(
-                        "--retry-limit: expected a count in 0..=255 \
-                         (0 = drop on first corrupt delivery, 255 = retry forever), got {s}"
-                    );
-                    std::process::exit(exit::USAGE);
-                }));
+                resilience_opts.retry_limit = Some(exit::flag_value(
+                    &mut it,
+                    flag,
+                    "a count in 0..=255 (0 = drop on first corrupt delivery, 255 = retry forever)",
+                ));
             }
             "--coding" => {
-                let Some(s) = args_iter.next() else {
-                    eprintln!("--coding requires off|secded|secded:<band>,<band>,...");
-                    std::process::exit(exit::USAGE);
-                };
-                resilience_opts.coding = CodingSelect::parse(s).unwrap_or_else(|e| {
-                    eprintln!("--coding: {e}");
-                    std::process::exit(exit::USAGE);
-                });
+                let s: String = exit::flag_value(&mut it, flag, "off|secded|secded:<band>,...");
+                resilience_opts.coding = CodingSelect::parse(&s)
+                    .unwrap_or_else(|e| exit::usage_error(format_args!("--coding: {e}")));
             }
             "--corruption-rate" => {
-                let Some(s) = args_iter.next() else {
-                    eprintln!("--corruption-rate requires a per-flit-hop probability");
-                    std::process::exit(exit::USAGE);
-                };
-                let rate: f64 = s.parse().unwrap_or_else(|_| {
-                    eprintln!("--corruption-rate: not a rate: {s}");
-                    std::process::exit(exit::USAGE);
-                });
-                if !(0.0..=1.0).contains(&rate) {
-                    eprintln!("--corruption-rate must be a probability in [0, 1], got {rate}");
-                    std::process::exit(exit::USAGE);
-                }
-                resilience_opts.corruption_rate = rate;
+                resilience_opts.corruption_rate =
+                    exit::flag_value_if(&mut it, flag, "a probability in [0, 1]", |p| {
+                        (0.0..=1.0).contains(p)
+                    });
             }
             "--recover" => {
-                let Some(s) = args_iter.next() else {
-                    eprintln!("--recover requires <budget>[:<attempts>] (packets per escape)");
-                    std::process::exit(exit::USAGE);
-                };
-                let (b, a) = match s.split_once(':') {
-                    Some((b, a)) => (b.parse::<usize>().ok(), a.parse::<u32>().ok()),
-                    None => (s.parse::<usize>().ok(), Some(32)),
-                };
-                let (Some(b), Some(a)) = (b, a) else {
-                    eprintln!("--recover: expected <budget>[:<attempts>], got {s}");
-                    std::process::exit(exit::USAGE);
-                };
-                if b == 0 || a == 0 {
-                    eprintln!("--recover: budget and attempts must be >= 1");
-                    std::process::exit(exit::USAGE);
+                let expects = "<budget>[:<attempts>], both >= 1 (packets per escape)";
+                let s: String = exit::flag_value(&mut it, flag, expects);
+                let (b, a) = s.split_once(':').unwrap_or((&s, "32"));
+                match (b.parse::<usize>(), a.parse::<u32>()) {
+                    (Ok(b), Ok(a)) if b >= 1 && a >= 1 => recover = Some((b, a)),
+                    _ => {
+                        exit::usage_error(format_args!("--recover: expected {expects}, got {s:?}"))
+                    }
                 }
-                recover = Some((b, a));
             }
-            "--chaos-seed" => {
-                let Some(s) = args_iter.next() else {
-                    eprintln!("--chaos-seed requires a seed");
-                    std::process::exit(exit::USAGE);
-                };
-                chaos_opts.seed = s.parse().unwrap_or_else(|_| {
-                    eprintln!("--chaos-seed: not a seed: {s}");
-                    std::process::exit(exit::USAGE);
-                });
-            }
+            "--chaos-seed" => chaos_opts.seed = exit::flag_value(&mut it, flag, "a seed"),
             "--chaos-cycles" => {
-                let Some(s) = args_iter.next() else {
-                    eprintln!("--chaos-cycles requires a cycle count");
-                    std::process::exit(exit::USAGE);
-                };
-                chaos_opts.cycles = s.parse().unwrap_or_else(|_| {
-                    eprintln!("--chaos-cycles: not a cycle count: {s}");
-                    std::process::exit(exit::USAGE);
-                });
-                if chaos_opts.cycles == 0 {
-                    eprintln!("--chaos-cycles must be >= 1");
-                    std::process::exit(exit::USAGE);
-                }
+                chaos_opts.cycles =
+                    exit::flag_value_if(&mut it, flag, "a cycle count >= 1", |n| *n >= 1);
             }
-            "--chaos-cuts" => {
-                let Some(s) = args_iter.next() else {
-                    eprintln!("--chaos-cuts requires a count");
-                    std::process::exit(exit::USAGE);
-                };
-                chaos_opts.cuts = s.parse().unwrap_or_else(|_| {
-                    eprintln!("--chaos-cuts: not a count: {s}");
-                    std::process::exit(exit::USAGE);
-                });
-            }
+            "--chaos-cuts" => chaos_opts.cuts = exit::flag_value(&mut it, flag, "a count"),
             "--throttle" => {
-                let Some(s) = args_iter.next() else {
-                    eprintln!("--throttle requires <high>:<low> watermarks");
-                    std::process::exit(exit::USAGE);
-                };
-                let parts: Vec<&str> = s.split(':').collect();
-                let watermarks = match parts.as_slice() {
-                    [high, low] => high.parse::<u32>().ok().zip(low.parse::<u32>().ok()),
-                    _ => None,
-                };
-                let Some((high, low)) = watermarks else {
-                    eprintln!("--throttle: expected <high>:<low> (packet counts), got {s}");
-                    std::process::exit(exit::USAGE);
-                };
-                if high < 1 || low >= high {
-                    eprintln!("--throttle: need high >= 1 and low < high, got {high}:{low}");
-                    std::process::exit(exit::USAGE);
-                }
-                overload_opts.throttle = Some((high, low));
+                let expects = "<high>:<low> packet counts with high >= 1 and low < high";
+                let s: String = exit::flag_value(&mut it, flag, expects);
+                let watermarks = s.split_once(':').and_then(|(h, l)| {
+                    let (h, l) = (h.parse::<u32>().ok()?, l.parse::<u32>().ok()?);
+                    (h >= 1 && l < h).then_some((h, l))
+                });
+                overload_opts.throttle = Some(watermarks.unwrap_or_else(|| {
+                    exit::usage_error(format_args!("--throttle: expected {expects}, got {s:?}"))
+                }));
             }
             "--reconfig" => {
-                let Some(s) = args_iter.next() else {
-                    eprintln!("--reconfig requires adaptive:<epoch>:<hysteresis>");
-                    std::process::exit(exit::USAGE);
-                };
-                let parts: Vec<&str> = s.split(':').collect();
-                let timing = match parts.as_slice() {
-                    ["adaptive", epoch, hyst] => {
-                        epoch.parse::<u64>().ok().zip(hyst.parse::<u64>().ok())
-                    }
-                    _ => None,
-                };
-                let Some((epoch, hysteresis)) = timing else {
-                    eprintln!(
-                        "--reconfig: expected adaptive:<epoch>:<hysteresis> (cycles), got {s}"
-                    );
-                    std::process::exit(exit::USAGE);
-                };
-                if epoch == 0 {
-                    eprintln!("--reconfig: epoch must be >= 1 cycle");
-                    std::process::exit(exit::USAGE);
-                }
-                overload_opts.reconfig = (epoch, hysteresis);
+                let expects = "adaptive:<epoch>:<hysteresis> cycles with epoch >= 1";
+                let s: String = exit::flag_value(&mut it, flag, expects);
+                let timing = s.strip_prefix("adaptive:").and_then(|t| t.split_once(':')).and_then(
+                    |(e, h)| {
+                        let (e, h) = (e.parse::<u64>().ok()?, h.parse::<u64>().ok()?);
+                        (e >= 1).then_some((e, h))
+                    },
+                );
+                overload_opts.reconfig = timing.unwrap_or_else(|| {
+                    exit::usage_error(format_args!("--reconfig: expected {expects}, got {s:?}"))
+                });
             }
             "--checkpoint-every" => {
-                let Some(s) = args_iter.next() else {
-                    eprintln!("--checkpoint-every requires a cycle count");
-                    std::process::exit(exit::USAGE);
-                };
-                durability.checkpoint_every = s.parse().unwrap_or_else(|_| {
-                    eprintln!("--checkpoint-every: not a cycle count: {s}");
-                    std::process::exit(exit::USAGE);
-                });
-                if durability.checkpoint_every == 0 {
-                    eprintln!("--checkpoint-every must be >= 1");
-                    std::process::exit(exit::USAGE);
-                }
+                durability.checkpoint_every =
+                    exit::flag_value_if(&mut it, flag, "a cycle count >= 1", |n| *n >= 1);
             }
             "--checkpoint-dir" => {
-                let Some(d) = args_iter.next() else {
-                    eprintln!("--checkpoint-dir requires a directory path");
-                    std::process::exit(exit::USAGE);
-                };
-                durability.checkpoint_dir = Some(d.clone());
+                durability.checkpoint_dir =
+                    Some(exit::flag_value(&mut it, flag, "a directory path"));
             }
             "--resume" => durability.resume = true,
-            "--audit" => {
-                let Some(s) = args_iter.next() else {
-                    eprintln!("--audit requires a cycle count");
-                    std::process::exit(exit::USAGE);
-                };
-                durability.audit_every = s.parse().unwrap_or_else(|_| {
-                    eprintln!("--audit: not a cycle count: {s}");
-                    std::process::exit(exit::USAGE);
-                });
-            }
+            "--audit" => durability.audit_every = exit::flag_value(&mut it, flag, "a cycle count"),
             "--threads" => {
-                let Some(s) = args_iter.next() else {
-                    eprintln!("--threads requires a thread count");
-                    std::process::exit(exit::USAGE);
-                };
-                let n: usize = s.parse().unwrap_or_else(|_| {
-                    eprintln!("--threads: not a thread count: {s}");
-                    std::process::exit(exit::USAGE);
-                });
+                let n = exit::flag_value(&mut it, flag, "a thread count");
                 // Zero (an empty pool) and wild oversubscription are both
                 // diagnosed before anything touches a worker pool.
-                if let Err(e) = exit::validate_threads(n, "--threads") {
-                    eprintln!("{e}");
-                    std::process::exit(exit::USAGE);
+                if let Err(e) = exit::validate_threads(n, flag) {
+                    exit::usage_error(e);
                 }
                 threads = Some(n);
             }
@@ -609,27 +375,30 @@ fn main() {
         std::process::exit(exit::USAGE);
     }
     if sweep_spec_file.is_some() && run_dir.is_none() {
-        eprintln!("sweep requires --run-dir (the journaled run directory)");
-        std::process::exit(exit::USAGE);
+        exit::usage_error("sweep requires --run-dir (the journaled run directory)");
+    }
+    if let Some(spec) = &resilience_opts.faults {
+        if let Err(e) = resilience::validate_fault_spec(spec) {
+            exit::usage_error(format_args!("--faults: {e}"));
+        }
+    }
+    if (durability.checkpoint_every > 0 || durability.resume) && durability.checkpoint_dir.is_none()
+    {
+        exit::usage_error("--checkpoint-every/--resume require --checkpoint-dir");
     }
     // Every --spec file is read, parsed and resolved before anything runs.
     let specs: Vec<(&String, SimSpec)> = spec_files
         .iter()
         .map(|f| {
-            let text = std::fs::read_to_string(f).unwrap_or_else(|e| {
-                eprintln!("cannot read {f}: {e}");
-                std::process::exit(exit::USAGE);
-            });
+            let text = std::fs::read_to_string(f)
+                .unwrap_or_else(|e| exit::usage_error(format_args!("cannot read {f}: {e}")));
             let spec = SimSpec::from_json(&text)
                 .and_then(|s| {
                     s.topology()?;
                     s.traffic()?;
                     Ok(s)
                 })
-                .unwrap_or_else(|e| {
-                    eprintln!("{f}: {e}");
-                    std::process::exit(exit::USAGE);
-                });
+                .unwrap_or_else(|e| exit::usage_error(format_args!("{f}: {e}")));
             (f, spec)
         })
         .collect();
@@ -652,34 +421,17 @@ fn main() {
     for f in &summarize_files {
         match noc_sim::summarize_metrics(Path::new(f)) {
             Ok(text) => print!("{text}"),
-            Err(e) => {
-                eprintln!("metrics: {e}");
-                std::process::exit(exit::USAGE);
-            }
+            Err(e) => exit::usage_error(format_args!("metrics: {e}")),
         }
     }
     for d in &sweep_status_dirs {
         match supervisor::status(Path::new(d)) {
             Ok(text) => print!("{text}"),
-            Err(e) => {
-                eprintln!("sweep-status: {d}: {e}");
-                std::process::exit(exit::USAGE);
-            }
+            Err(e) => exit::usage_error(format_args!("sweep-status: {d}: {e}")),
         }
     }
     if let Some(f) = &sweep_spec_file {
         run_supervised_sweep(f, run_dir.as_deref().expect("validated above"), &sup_cfg);
-    }
-    if let Some(spec) = &resilience_opts.faults {
-        if let Err(e) = resilience::validate_fault_spec(spec) {
-            eprintln!("--faults: {e}");
-            std::process::exit(exit::USAGE);
-        }
-    }
-    if (durability.checkpoint_every > 0 || durability.resume) && durability.checkpoint_dir.is_none()
-    {
-        eprintln!("--checkpoint-every/--resume require --checkpoint-dir");
-        std::process::exit(exit::USAGE);
     }
     let emit = |r: &Report| {
         if json {
@@ -699,10 +451,7 @@ fn main() {
     for (f, spec) in &specs {
         match spec.run() {
             Ok(r) => emit(&r),
-            Err(e) => {
-                eprintln!("{f}: {e}");
-                std::process::exit(exit::USAGE);
-            }
+            Err(e) => exit::usage_error(format_args!("{f}: {e}")),
         }
     }
 
@@ -845,14 +594,10 @@ fn usage() {
 /// failure; on an incomplete sweep exits with [`exit::SWEEP_INCOMPLETE`] so
 /// callers can distinguish "some points gave up" from a crashed process.
 fn run_supervised_sweep(spec_file: &str, run_dir: &str, cfg: &SupervisorConfig) {
-    let text = std::fs::read_to_string(spec_file).unwrap_or_else(|e| {
-        eprintln!("sweep: {spec_file}: {e}");
-        std::process::exit(exit::USAGE);
-    });
-    let spec = SweepSpec::from_json(&text).unwrap_or_else(|e| {
-        eprintln!("sweep: {spec_file}: {e}");
-        std::process::exit(exit::USAGE);
-    });
+    let text = std::fs::read_to_string(spec_file)
+        .unwrap_or_else(|e| exit::usage_error(format_args!("sweep: {spec_file}: {e}")));
+    let spec = SweepSpec::from_json(&text)
+        .unwrap_or_else(|e| exit::usage_error(format_args!("sweep: {spec_file}: {e}")));
     let outcome =
         noc_sim::run_sweep(Path::new(run_dir), &spec, &SimRunner, cfg).unwrap_or_else(|e| {
             eprintln!("sweep: {e}");
@@ -907,10 +652,7 @@ fn build_sim(
                 eprintln!("[resume] no checkpoint in {}: starting fresh", dir.display());
                 Simulation::new(topo, cfg)
             }
-            Err(e) => {
-                eprintln!("--resume: {e}");
-                std::process::exit(exit::USAGE);
-            }
+            Err(e) => exit::usage_error(format_args!("--resume: {e}")),
         }
     } else {
         Simulation::new(topo, cfg)
@@ -1092,10 +834,7 @@ fn run_own(
                     );
                 }
             }
-            Err(e) => {
-                eprintln!("--metrics-out: cannot write {path}: {e}");
-                std::process::exit(exit::USAGE);
-            }
+            Err(e) => exit::usage_error(format_args!("--metrics-out: cannot write {path}: {e}")),
         }
     }
 }
@@ -1125,13 +864,11 @@ fn run_traced(path: &str, budget: Budget, sample_interval: u64, opts: &Durabilit
     let events = rec.into_events();
     let stall = result.stall.as_deref();
     if let Err(e) = write_chrome_trace_with_stall(std::path::Path::new(path), &events, stall) {
-        eprintln!("--trace: cannot write {path}: {e}");
-        std::process::exit(exit::USAGE);
+        exit::usage_error(format_args!("--trace: cannot write {path}: {e}"));
     }
     let jsonl_path = format!("{path}.jsonl");
     if let Err(e) = write_jsonl_with_stall(std::path::Path::new(&jsonl_path), &events, stall) {
-        eprintln!("--trace: cannot write {jsonl_path}: {e}");
-        std::process::exit(exit::USAGE);
+        exit::usage_error(format_args!("--trace: cannot write {jsonl_path}: {e}"));
     }
     let fairness = result.delivery_fairness();
     eprintln!(

@@ -24,7 +24,7 @@
 //!
 //! [`write_checkpoint`] is atomic: the file is written to a `.tmp` sibling
 //! and renamed into place, so a crash mid-write never leaves a truncated
-//! checkpoint where [`latest_checkpoint`] would find it.
+//! checkpoint where [`latest_valid_checkpoint`] would find it.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -192,32 +192,13 @@ pub fn fsync_dir(dir: &Path) -> io::Result<()> {
     Ok(())
 }
 
-/// The highest-cycle `checkpoint-*.json` in `dir`, if any. In-progress
-/// `.tmp` files are ignored (they are not yet valid checkpoints).
-pub fn latest_checkpoint(dir: &Path) -> io::Result<Option<PathBuf>> {
-    let mut best: Option<(u64, PathBuf)> = None;
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(stem) = name.strip_prefix("checkpoint-").and_then(|s| s.strip_suffix(".json"))
-        else {
-            continue;
-        };
-        let Ok(cycle) = stem.parse::<u64>() else { continue };
-        if best.as_ref().is_none_or(|(c, _)| cycle > *c) {
-            best = Some((cycle, entry.path()));
-        }
-    }
-    Ok(best.map(|(_, p)| p))
-}
-
-/// Like [`latest_checkpoint`], but *validated*: candidates are tried
-/// newest-first and the first one that parses is returned together with
-/// its decoded contents. A truncated or corrupt file — a crash mid-write
-/// on a filesystem without atomic rename, a bad disk — is skipped with a
-/// warning on stderr and the next-newest checkpoint is used, so one bad
-/// file cannot make an otherwise resumable run unresumable.
+/// The newest valid `checkpoint-*.json` in `dir`, with its decoded
+/// contents. Candidates are tried newest-first (highest cycle), and
+/// in-progress `.tmp` files are ignored. A truncated or corrupt file — a
+/// crash mid-write on a filesystem without atomic rename, a bad disk — is
+/// skipped with a warning on stderr and the next-newest checkpoint is
+/// used, so one bad file cannot make an otherwise resumable run
+/// unresumable.
 pub fn latest_valid_checkpoint(dir: &Path) -> io::Result<Option<(PathBuf, Checkpoint)>> {
     let mut candidates: Vec<(u64, PathBuf)> = Vec::new();
     for entry in std::fs::read_dir(dir)? {
@@ -1337,9 +1318,8 @@ mod tests {
             .collect();
         assert!(leftovers.is_empty());
 
-        let latest = latest_checkpoint(&dir).unwrap().unwrap();
+        let (latest, ckpt) = latest_valid_checkpoint(&dir).unwrap().unwrap();
         assert!(latest.ends_with(checkpoint_file_name(192)));
-        let ckpt = read_checkpoint(&latest).unwrap();
         assert_eq!(ckpt.cycle, 192);
         assert_eq!(ckpt.ejected_window_start, Some(7));
         assert_eq!(ckpt.ejected_window_end, None);
@@ -1376,7 +1356,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("notes.txt"), "x").unwrap();
         std::fs::write(dir.join("checkpoint-000000000009.json.tmp"), "x").unwrap();
-        assert!(latest_checkpoint(&dir).unwrap().is_none());
+        assert!(latest_valid_checkpoint(&dir).unwrap().is_none());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

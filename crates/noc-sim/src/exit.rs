@@ -1,8 +1,12 @@
-//! Process exit codes for `own-experiments`.
+//! Process exit codes for `own-experiments` and `noc-svc`, and the flag
+//! reader both binaries refuse a bad command line through.
 //!
 //! CI and the sweep supervisor key off these numbers, so they are defined
 //! once here and the README table is checked against [`TABLE`] by a test —
 //! editing one without the other fails `readme_table_matches`.
+
+use std::fmt::Display;
+use std::str::FromStr;
 
 /// Success — experiments ran, all gates passed.
 pub const OK: i32 = 0;
@@ -80,6 +84,39 @@ pub fn validate_threads(n: usize, flag: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// Print `msg` on stderr and exit with [`USAGE`].
+pub fn usage_error(msg: impl Display) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(USAGE)
+}
+
+/// Take the value of `flag` from `args` and parse it as `T`. A missing
+/// value exits 2 with "`flag` requires `expects`", one that does not
+/// parse with "`flag`: expected `expects`, got `value`".
+pub fn flag_value<T: FromStr>(
+    args: &mut impl Iterator<Item = impl AsRef<str>>,
+    flag: &str,
+    expects: &str,
+) -> T {
+    flag_value_if(args, flag, expects, |_| true)
+}
+
+/// [`flag_value`] with the flag's range check: a parsed value for which
+/// `ok` fails exits 2 with the same message as an unparsable one.
+pub fn flag_value_if<T: FromStr>(
+    args: &mut impl Iterator<Item = impl AsRef<str>>,
+    flag: &str,
+    expects: &str,
+    ok: impl FnOnce(&T) -> bool,
+) -> T {
+    let Some(raw) = args.next() else { usage_error(format_args!("{flag} requires {expects}")) };
+    let raw = raw.as_ref();
+    match raw.parse() {
+        Ok(v) if ok(&v) => v,
+        _ => usage_error(format_args!("{flag}: expected {expects}, got {raw:?}")),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,5 +175,15 @@ mod tests {
         // The diagnostic names whichever flag the caller is validating.
         let err = validate_threads(0, "--workers").unwrap_err();
         assert!(err.starts_with("--workers "), "got: {err}");
+    }
+
+    /// The error paths exit the process; `tests/cli.rs` drives them
+    /// through the binary.
+    #[test]
+    fn flag_value_takes_and_parses_the_next_argument() {
+        let mut args = ["7", "0.5", "rest"].iter();
+        assert_eq!(flag_value::<u32>(&mut args, "--n", "a count"), 7);
+        assert_eq!(flag_value_if(&mut args, "--p", "a probability", |p: &f64| *p <= 1.0), 0.5);
+        assert_eq!(args.next(), Some(&"rest"));
     }
 }

@@ -44,8 +44,7 @@ pub mod telemetry;
 pub mod workers;
 
 pub use checkpoint::{
-    atomic_write, fsync_dir, latest_checkpoint, latest_valid_checkpoint, read_checkpoint,
-    write_checkpoint, Checkpoint,
+    atomic_write, fsync_dir, latest_valid_checkpoint, read_checkpoint, write_checkpoint, Checkpoint,
 };
 pub use metrics::{EngineProfile, SimResult};
 pub use obs::{RingRecorder, Sample, SampleSeries};

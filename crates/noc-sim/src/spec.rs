@@ -91,71 +91,14 @@ impl SimSpec {
         })
     }
 
-    /// Resolve the topology by name.
+    /// Resolve the topology by name ([`resolve_topology`]).
     pub fn topology(&self) -> Result<Box<dyn Topology>, String> {
-        let t = self.topology.to_ascii_lowercase();
-        if let Some(n) = t.strip_prefix("cmesh-") {
-            let cores: u32 = n.parse().map_err(|_| format!("bad core count in {t}"))?;
-            return Ok(Box::new(CMesh::new(cores)));
-        }
-        if let Some(n) = t.strip_prefix("wcmesh-") {
-            let cores: u32 = n.parse().map_err(|_| format!("bad core count in {t}"))?;
-            return Ok(Box::new(WirelessCMesh::new(cores)));
-        }
-        if let Some(n) = t.strip_prefix("optxb-") {
-            let cores: u32 = n.parse().map_err(|_| format!("bad core count in {t}"))?;
-            return Ok(Box::new(OptXb::new(cores)));
-        }
-        if let Some(n) = t.strip_prefix("pclos-") {
-            let cores: u32 = n.parse().map_err(|_| format!("bad core count in {t}"))?;
-            return Ok(Box::new(PClos::new(cores)));
-        }
-        match t.as_str() {
-            "own-256" => Ok(Box::new(Own256::new())),
-            "own-1024" => Ok(Box::new(Own1024::new())),
-            "own-256-center" => Ok(Box::new(Own256::with_placement(AntennaPlacement::Center))),
-            "own-256-diag-spares" => Ok(Box::new(Own256Reconfig::new(ReconfigPolicy::Diagonal))),
-            other => Err(format!("unknown topology {other:?}")),
-        }
+        resolve_topology(&self.topology)
     }
 
-    /// Resolve the traffic pattern by name.
+    /// Resolve the traffic pattern by name ([`resolve_pattern`]).
     pub fn traffic(&self) -> Result<TrafficPattern, String> {
-        let p = self.pattern.to_ascii_lowercase();
-        let parts: Vec<&str> = p.split(':').collect();
-        match parts[0] {
-            "uniform" | "un" => Ok(TrafficPattern::Uniform),
-            "bitrev" | "br" => Ok(TrafficPattern::BitReversal),
-            "transpose" | "mt" => Ok(TrafficPattern::Transpose),
-            "shuffle" | "ps" => Ok(TrafficPattern::PerfectShuffle),
-            "neighbor" | "nbr" => Ok(TrafficPattern::Neighbor),
-            "bitcomplement" | "bc" => Ok(TrafficPattern::BitComplement),
-            "hotspot" if parts.len() == 3 => {
-                let target: u32 = parts[1].parse().map_err(|_| "bad hotspot core".to_string())?;
-                let fraction: f64 =
-                    parts[2].parse().map_err(|_| "bad hotspot fraction".to_string())?;
-                // Reject here rather than drawing with a fraction that is
-                // not a probability or addressing a nonexistent core.
-                if !(0.0..=1.0).contains(&fraction) {
-                    return Err(format!("hotspot fraction {fraction} must be within [0, 1]"));
-                }
-                if let Ok(topo) = self.topology() {
-                    if target >= topo.num_cores() {
-                        return Err(format!(
-                            "hotspot core {target} out of range for {} ({} cores)",
-                            topo.name(),
-                            topo.num_cores()
-                        ));
-                    }
-                }
-                Ok(TrafficPattern::Hotspot { target, fraction })
-            }
-            "permutation" if parts.len() == 2 => {
-                let seed = parts[1].parse().map_err(|_| "bad permutation seed".to_string())?;
-                Ok(TrafficPattern::Permutation { seed })
-            }
-            other => Err(format!("unknown pattern {other:?}")),
-        }
+        resolve_pattern(&self.pattern, &self.topology)
     }
 
     /// Run the experiment (replicated across seeds) and report.
@@ -206,6 +149,73 @@ impl SimSpec {
     }
 }
 
+/// Resolve a topology name (see the module docs).
+pub fn resolve_topology(name: &str) -> Result<Box<dyn Topology>, String> {
+    let t = name.to_ascii_lowercase();
+    if let Some(n) = t.strip_prefix("cmesh-") {
+        let cores: u32 = n.parse().map_err(|_| format!("bad core count in {t}"))?;
+        return Ok(Box::new(CMesh::new(cores)));
+    }
+    if let Some(n) = t.strip_prefix("wcmesh-") {
+        let cores: u32 = n.parse().map_err(|_| format!("bad core count in {t}"))?;
+        return Ok(Box::new(WirelessCMesh::new(cores)));
+    }
+    if let Some(n) = t.strip_prefix("optxb-") {
+        let cores: u32 = n.parse().map_err(|_| format!("bad core count in {t}"))?;
+        return Ok(Box::new(OptXb::new(cores)));
+    }
+    if let Some(n) = t.strip_prefix("pclos-") {
+        let cores: u32 = n.parse().map_err(|_| format!("bad core count in {t}"))?;
+        return Ok(Box::new(PClos::new(cores)));
+    }
+    match t.as_str() {
+        "own-256" => Ok(Box::new(Own256::new())),
+        "own-1024" => Ok(Box::new(Own1024::new())),
+        "own-256-center" => Ok(Box::new(Own256::with_placement(AntennaPlacement::Center))),
+        "own-256-diag-spares" => Ok(Box::new(Own256Reconfig::new(ReconfigPolicy::Diagonal))),
+        other => Err(format!("unknown topology {other:?}")),
+    }
+}
+
+/// Resolve a traffic pattern name (see the module docs). A hotspot core
+/// is checked against the core count of `topology` when that resolves.
+pub fn resolve_pattern(pattern: &str, topology: &str) -> Result<TrafficPattern, String> {
+    let p = pattern.to_ascii_lowercase();
+    let parts: Vec<&str> = p.split(':').collect();
+    match parts[0] {
+        "uniform" | "un" => Ok(TrafficPattern::Uniform),
+        "bitrev" | "br" => Ok(TrafficPattern::BitReversal),
+        "transpose" | "mt" => Ok(TrafficPattern::Transpose),
+        "shuffle" | "ps" => Ok(TrafficPattern::PerfectShuffle),
+        "neighbor" | "nbr" => Ok(TrafficPattern::Neighbor),
+        "bitcomplement" | "bc" => Ok(TrafficPattern::BitComplement),
+        "hotspot" if parts.len() == 3 => {
+            let target: u32 = parts[1].parse().map_err(|_| "bad hotspot core".to_string())?;
+            let fraction: f64 = parts[2].parse().map_err(|_| "bad hotspot fraction".to_string())?;
+            // Reject here rather than drawing with a fraction that is
+            // not a probability or addressing a nonexistent core.
+            if !(0.0..=1.0).contains(&fraction) {
+                return Err(format!("hotspot fraction {fraction} must be within [0, 1]"));
+            }
+            if let Ok(topo) = resolve_topology(topology) {
+                if target >= topo.num_cores() {
+                    return Err(format!(
+                        "hotspot core {target} out of range for {} ({} cores)",
+                        topo.name(),
+                        topo.num_cores()
+                    ));
+                }
+            }
+            Ok(TrafficPattern::Hotspot { target, fraction })
+        }
+        "permutation" if parts.len() == 2 => {
+            let seed = parts[1].parse().map_err(|_| "bad permutation seed".to_string())?;
+            Ok(TrafficPattern::Permutation { seed })
+        }
+        other => Err(format!("unknown pattern {other:?}")),
+    }
+}
+
 /// The scalar run parameters both spec formats share, with their
 /// defaults.
 const SCALAR_DEFAULTS: [(&str, u64); 6] = [
@@ -216,6 +226,13 @@ const SCALAR_DEFAULTS: [(&str, u64); 6] = [
     ("vcs", 4),
     ("buf_depth", 4),
 ];
+
+/// The default of the scalar run parameter `key`, from
+/// [`SCALAR_DEFAULTS`].
+pub(crate) fn scalar_default<T: TryFrom<u64>>(key: &str) -> T {
+    let (_, n) = SCALAR_DEFAULTS.iter().find(|(k, _)| *k == key).expect("a scalar run parameter");
+    T::try_from(*n).ok().expect("a default fits its field")
+}
 
 /// The field reader of both spec formats ([`SimSpec`] and
 /// [`crate::SweepSpec`]). Construction rejects anything but an object and
@@ -298,9 +315,7 @@ impl<'a> Fields<'a> {
     /// A scalar run parameter: an integer, or its default from
     /// [`SCALAR_DEFAULTS`] when absent.
     pub(crate) fn scalar<T: TryFrom<u64>>(&self, key: &str) -> Result<T, String> {
-        let (_, default) =
-            SCALAR_DEFAULTS.iter().find(|(k, _)| *k == key).expect("a scalar run parameter");
-        let n = self.optional(key, integer, "an integer")?.unwrap_or(*default);
+        let n = self.optional(key, integer, "an integer")?.unwrap_or_else(|| scalar_default(key));
         T::try_from(n).map_err(|_| format!("{}: {key} {n} too large", self.what))
     }
 }

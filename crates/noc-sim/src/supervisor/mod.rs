@@ -49,6 +49,7 @@ pub use lock::{RunLock, LOCK_FILE};
 pub use spec::{PointSpec, SweepSpec};
 
 use crate::checkpoint;
+use crate::exit;
 use crate::json;
 use crate::metrics::SimResult;
 use crate::sim::{SimConfig, Simulation};
@@ -105,6 +106,45 @@ impl Default for SupervisorConfig {
     }
 }
 
+impl SupervisorConfig {
+    /// Apply `flag` when it is one of the five supervisor flags that
+    /// `own-experiments` and `noc-svc` share, reading its value from
+    /// `args` and exiting 2 on a bad one ([`exit::flag_value`]). Returns
+    /// false, having read nothing, for any other flag.
+    pub fn apply_flag(
+        &mut self,
+        flag: &str,
+        args: &mut impl Iterator<Item = impl AsRef<str>>,
+    ) -> bool {
+        match flag {
+            "--max-points" => {
+                let n: usize = exit::flag_value(args, flag, "a point count cap (0 = unlimited)");
+                self.point_cap = (n > 0).then_some(n);
+            }
+            "--point-timeout" => {
+                // `try_from_secs_f64` also refuses NaN, infinities and
+                // values too large for a `Duration` (`from_secs_f64` panics).
+                let secs = exit::flag_value_if(args, flag, "a positive number of seconds", |s| {
+                    *s > 0.0 && Duration::try_from_secs_f64(*s).is_ok()
+                });
+                self.point_timeout = Some(Duration::from_secs_f64(secs));
+            }
+            "--point-retries" => {
+                self.point_retries = exit::flag_value(args, flag, "a count of reruns");
+            }
+            "--point-checkpoint" => {
+                self.checkpoint_every = exit::flag_value(args, flag, "a cycle count (0 = off)");
+            }
+            "--point-backoff-ms" => {
+                let ms = exit::flag_value(args, flag, "a duration in milliseconds");
+                self.backoff_base = Duration::from_millis(ms);
+            }
+            _ => return false,
+        }
+        true
+    }
+}
+
 /// Why an attempt did not produce metrics.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PointFailure {
@@ -139,9 +179,8 @@ pub struct SimRunner;
 
 impl PointRunner for SimRunner {
     fn run_point(&self, point: &PointSpec, ctx: &PointCtx) -> Result<PointMetrics, PointFailure> {
-        let sspec = point.sim_spec();
-        let topo = sspec.topology().map_err(PointFailure::Failed)?;
-        let pattern = sspec.traffic().map_err(PointFailure::Failed)?;
+        let topo = point.topology().map_err(PointFailure::Failed)?;
+        let pattern = point.traffic().map_err(PointFailure::Failed)?;
         let cfg = SimConfig {
             rate: point.rate,
             pattern,
@@ -607,4 +646,29 @@ pub fn status(run_dir: &Path) -> io::Result<String> {
         writeln!(s, "  results: {}", run_dir.join(RESULTS_FILE).display()).unwrap();
     }
     Ok(s)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A bad value exits the process, so `tests/cli.rs` drives those
+    /// cases through both binaries.
+    #[test]
+    fn apply_flag_reads_the_five_shared_flags() {
+        let mut cfg = SupervisorConfig { checkpoint_every: 2_000, ..SupervisorConfig::default() };
+        let mut args = ["0", "1.5", "5", "0", "7", "2"].iter();
+        assert!(cfg.apply_flag("--max-points", &mut args));
+        assert!(cfg.apply_flag("--point-timeout", &mut args));
+        assert!(cfg.apply_flag("--point-retries", &mut args));
+        assert!(cfg.apply_flag("--point-checkpoint", &mut args));
+        assert!(cfg.apply_flag("--point-backoff-ms", &mut args));
+        assert_eq!(cfg.point_cap, None, "0 = unlimited");
+        assert_eq!(cfg.point_timeout, Some(Duration::from_millis(1_500)));
+        assert_eq!(cfg.point_retries, 5);
+        assert_eq!(cfg.checkpoint_every, 0, "0 = off");
+        assert_eq!(cfg.backoff_base, Duration::from_millis(7));
+        assert!(!cfg.apply_flag("--threads", &mut args), "not a supervisor flag");
+        assert_eq!(args.next(), Some(&"2"), "an unknown flag reads nothing");
+    }
 }

@@ -19,8 +19,13 @@
 
 use std::fmt::Write as _;
 
+use noc_topology::Topology;
+use noc_traffic::TrafficPattern;
+
 use crate::json::{self, Value};
-use crate::spec::{integer, number, Fields, SimSpec};
+use crate::spec::{
+    integer, number, resolve_pattern, resolve_topology, scalar_default, Fields, SimSpec,
+};
 
 /// A batch sweep: the cross product of the four list fields, sharing the
 /// scalar parameters.
@@ -119,21 +124,8 @@ impl SweepSpec {
         for topology in &self.topologies {
             for pattern in &self.patterns {
                 // Resolve once per pair; errors name the offending entry.
-                let probe = SimSpec {
-                    topology: topology.clone(),
-                    pattern: pattern.clone(),
-                    rate: self.rates[0],
-                    packet_len: self.packet_len,
-                    warmup: self.warmup,
-                    measure: self.measure,
-                    drain: self.drain,
-                    seeds: vec![0],
-                    vcs: self.vcs,
-                    buf_depth: self.buf_depth,
-                    speculative: false,
-                };
-                probe.topology()?;
-                probe.traffic()?;
+                resolve_topology(topology)?;
+                resolve_pattern(pattern, topology)?;
                 for &rate in &self.rates {
                     for &seed in &self.seeds {
                         let p = PointSpec {
@@ -216,7 +208,17 @@ impl PointSpec {
         format!("{}/{}@{:?}#{}", self.topology, self.pattern, self.rate, self.seed)
     }
 
-    /// The equivalent single-point [`SimSpec`] (resolver reuse).
+    /// Resolve the topology by name ([`resolve_topology`]).
+    pub fn topology(&self) -> Result<Box<dyn Topology>, String> {
+        resolve_topology(&self.topology)
+    }
+
+    /// Resolve the traffic pattern by name ([`resolve_pattern`]).
+    pub fn traffic(&self) -> Result<TrafficPattern, String> {
+        resolve_pattern(&self.pattern, &self.topology)
+    }
+
+    /// The equivalent single-point [`SimSpec`].
     pub fn sim_spec(&self) -> SimSpec {
         SimSpec {
             topology: self.topology.clone(),
@@ -230,6 +232,44 @@ impl PointSpec {
             vcs: self.vcs,
             buf_depth: self.buf_depth,
             speculative: false,
+        }
+    }
+}
+
+/// Empty lists, with the scalars at their spec-format defaults.
+impl Default for SweepSpec {
+    fn default() -> Self {
+        SweepSpec {
+            topologies: Vec::new(),
+            patterns: Vec::new(),
+            rates: Vec::new(),
+            seeds: Vec::new(),
+            packet_len: scalar_default("packet_len"),
+            warmup: scalar_default("warmup"),
+            measure: scalar_default("measure"),
+            drain: scalar_default("drain"),
+            vcs: scalar_default("vcs"),
+            buf_depth: scalar_default("buf_depth"),
+        }
+    }
+}
+
+/// No topology or pattern, rate and seed 0, with the scalars at their
+/// spec-format defaults.
+impl Default for PointSpec {
+    fn default() -> Self {
+        PointSpec {
+            idx: 0,
+            topology: String::new(),
+            pattern: String::new(),
+            rate: 0.0,
+            seed: 0,
+            packet_len: scalar_default("packet_len"),
+            warmup: scalar_default("warmup"),
+            measure: scalar_default("measure"),
+            drain: scalar_default("drain"),
+            vcs: scalar_default("vcs"),
+            buf_depth: scalar_default("buf_depth"),
         }
     }
 }
@@ -300,6 +340,33 @@ mod tests {
         assert_eq!(points[2].label(), "cmesh-64/uniform@0.02#1");
         assert_eq!(points[15].label(), "wcmesh-64/bitrev@0.02#2");
         assert!(points.iter().enumerate().all(|(i, p)| p.idx == i));
+    }
+
+    /// Absent scalars take the same values in the parser and in
+    /// `Default`, for the sweep and for each point it expands to.
+    #[test]
+    fn minimal_spec_equals_the_default_literal() {
+        let spec = SweepSpec::from_json(
+            r#"{"topologies": ["own-256"], "patterns": ["uniform"], "rates": [0.03],
+                "seeds": [7]}"#,
+        )
+        .unwrap();
+        let expected = SweepSpec {
+            topologies: vec!["own-256".into()],
+            patterns: vec!["uniform".into()],
+            rates: vec![0.03],
+            seeds: vec![7],
+            ..Default::default()
+        };
+        assert_eq!(spec, expected);
+        let point = PointSpec {
+            topology: "own-256".into(),
+            pattern: "uniform".into(),
+            rate: 0.03,
+            seed: 7,
+            ..Default::default()
+        };
+        assert_eq!(spec.expand().unwrap(), [point]);
     }
 
     #[test]

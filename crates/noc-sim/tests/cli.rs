@@ -1,7 +1,8 @@
 //! The JSON surface of `own-experiments`, through the real binary:
 //! `--spec` runs a single-point experiment, an invalid spec exits 2
 //! before any simulation runs, and `--json` output parses as JSON. Also
-//! `--resume` across a change of `--metrics-out`.
+//! `--resume` across a change of `--metrics-out`, a bad value of every
+//! valued flag, and `sweep --point-checkpoint 0`.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -137,5 +138,103 @@ fn resume_with_metrics_out_of_a_plain_checkpoint_runs() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     assert!(String::from_utf8_lossy(&out.stdout).contains("(resumed from cycle"));
     assert!(std::fs::metadata(&m).unwrap().len() > 0, "no metrics written");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Every valued flag and subcommand, with values it must refuse: first an
+/// unparsable one, then any that parse but lie out of range. Path-valued
+/// flags accept any string, so only their missing value is checked.
+const VALUED: &[(&str, &[&str])] = &[
+    ("metrics", &[]),
+    ("sweep", &[]),
+    ("sweep-status", &[]),
+    ("--run-dir", &[]),
+    ("--point-timeout", &["soon", "0", "-1"]),
+    ("--point-retries", &["x", "4294967296"]),
+    ("--max-failures", &["x", "0"]),
+    ("--point-checkpoint", &["x", "18446744073709551616"]),
+    ("--max-points", &["x", "18446744073709551616"]),
+    ("--point-backoff-ms", &["x", "18446744073709551616"]),
+    ("--metrics-out", &[]),
+    ("--metrics-interval", &["x", "0"]),
+    ("--spec", &[]),
+    ("--trace", &[]),
+    ("--sample-interval", &["x", "0"]),
+    ("--faults", &["band:3", "band:99@100"]),
+    ("--ber", &["x", "1.5", "-0.1"]),
+    ("--retry-limit", &["x", "256"]),
+    ("--coding", &["secded:x", "on"]),
+    ("--corruption-rate", &["x", "1.5"]),
+    ("--recover", &["x", "0", "4:0"]),
+    ("--chaos-seed", &["x", "18446744073709551616"]),
+    ("--chaos-cycles", &["x", "0"]),
+    ("--chaos-cuts", &["x", "4294967296"]),
+    ("--throttle", &["x", "0:0", "4:8"]),
+    ("--reconfig", &["x", "adaptive:0:10"]),
+    ("--checkpoint-every", &["x", "0"]),
+    ("--checkpoint-dir", &[]),
+    ("--audit", &["x", "18446744073709551616"]),
+    ("--threads", &["x", "0"]),
+];
+
+/// A missing, unparsable or out-of-range flag value exits 2 during
+/// argument parsing, naming the flag. `fig3` (no simulation) comes first,
+/// so a value wrongly accepted shows as a successful run.
+#[test]
+fn bad_flag_values_exit_2_naming_the_flag() {
+    for (flag, bad) in VALUED {
+        let missing = vec!["fig3", flag];
+        for args in std::iter::once(missing).chain(bad.iter().map(|v| vec!["fig3", flag, v])) {
+            let out = run(&args);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(exit::USAGE), "{args:?}: {stderr}");
+            assert!(stderr.contains(flag), "{args:?}: stderr does not name {flag}: {stderr}");
+            assert!(out.stdout.is_empty(), "{args:?}: an experiment ran");
+        }
+    }
+}
+
+/// A timeout too large for a `Duration` is a usage error, not a panic.
+#[test]
+fn point_timeout_beyond_a_duration_exits_2() {
+    let out = run(&["fig3", "--point-timeout", "1e300"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(exit::USAGE), "{stderr}");
+    assert!(stderr.contains("--point-timeout"), "{stderr}");
+}
+
+/// A flag error that is found only after the flags are read still stops
+/// the run before a sweep executes.
+#[test]
+fn late_flag_errors_stop_a_sweep_before_it_runs() {
+    let dir = scratch("late-flag-errors");
+    let spec = write_spec(&dir, "sweep", TINY_SWEEP);
+    for (flag, value) in [("--faults", "band:3"), ("--checkpoint-every", "100")] {
+        let run_dir = dir.join(&flag[2..]);
+        let run_dir_arg = run_dir.display().to_string();
+        let out = run(&["sweep", &spec, "--run-dir", &run_dir_arg, flag, value]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(exit::USAGE), "{flag}: {stderr}");
+        assert!(stderr.contains(flag), "{flag}: {stderr}");
+        assert!(!run_dir.exists(), "{flag}: the sweep ran before the diagnosis");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+const TINY_SWEEP: &str = r#"{"topologies": ["cmesh-64"], "patterns": ["uniform"],
+    "rates": [0.02], "seeds": [1], "warmup": 100, "measure": 400, "drain": 2000}"#;
+
+/// `--point-checkpoint 0` is the documented "off": the sweep completes
+/// and writes no checkpoint directory.
+#[test]
+fn point_checkpoint_0_sweeps_without_checkpoints() {
+    let dir = scratch("point-checkpoint-0");
+    let spec = write_spec(&dir, "sweep", TINY_SWEEP);
+    let run_dir = dir.join("run");
+    let run_dir_arg = run_dir.display().to_string();
+    let out = run(&["sweep", &spec, "--run-dir", &run_dir_arg, "--point-checkpoint", "0"]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(run_dir.join("results.json").exists(), "the sweep did not complete");
+    assert!(!run_dir.join("ckpt").exists(), "checkpoints written with --point-checkpoint 0");
     std::fs::remove_dir_all(&dir).unwrap();
 }

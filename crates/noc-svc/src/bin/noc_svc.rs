@@ -33,52 +33,26 @@ fn main() {
 
     let mut cfg = SvcConfig::default();
     let mut data_dir_set = false;
-    while let Some(flag) = it.next() {
-        let mut value = |what: &str| -> &String {
-            it.next().unwrap_or_else(|| {
-                eprintln!("noc-svc: {flag} requires {what}");
-                std::process::exit(exit::USAGE);
-            })
-        };
-        match flag.as_str() {
-            "--addr" => cfg.addr = value("a host:port bind address").clone(),
+    while let Some(a) = it.next() {
+        let flag = a.as_str();
+        if cfg.sup.apply_flag(flag, &mut it) {
+            continue;
+        }
+        match flag {
+            "--addr" => cfg.addr = exit::flag_value(&mut it, flag, "a host:port bind address"),
             "--data-dir" => {
-                cfg.data_dir = value("a directory path").into();
+                cfg.data_dir = exit::flag_value(&mut it, flag, "a directory path");
                 data_dir_set = true;
             }
             "--workers" => {
-                cfg.workers = parse(flag, value("a thread count"));
-                if let Err(e) = exit::validate_threads(cfg.workers, "--workers") {
-                    eprintln!("noc-svc: {e}");
-                    std::process::exit(exit::USAGE);
+                cfg.workers = exit::flag_value(&mut it, flag, "a thread count");
+                if let Err(e) = exit::validate_threads(cfg.workers, flag) {
+                    exit::usage_error(e);
                 }
             }
             "--queue-cap" => {
-                cfg.queue_cap = parse(flag, value("a queued-point cap"));
-                if cfg.queue_cap == 0 {
-                    eprintln!("noc-svc: --queue-cap must be >= 1 (0 would admit nothing)");
-                    std::process::exit(exit::USAGE);
-                }
-            }
-            "--max-points" => {
-                let n: usize = parse(flag, value("a cross-product cap (0 = unlimited)"));
-                cfg.sup.point_cap = (n > 0).then_some(n);
-            }
-            "--point-timeout" => {
-                let secs: f64 = parse(flag, value("seconds per point"));
-                if !(secs > 0.0 && secs.is_finite()) {
-                    eprintln!("noc-svc: --point-timeout must be a positive number of seconds");
-                    std::process::exit(exit::USAGE);
-                }
-                cfg.sup.point_timeout = Some(std::time::Duration::from_secs_f64(secs));
-            }
-            "--point-retries" => cfg.sup.point_retries = parse(flag, value("a retry count")),
-            "--point-checkpoint" => {
-                cfg.sup.checkpoint_every = parse(flag, value("a cycle count (0 = off)"));
-            }
-            "--point-backoff-ms" => {
-                let ms: u64 = parse(flag, value("a duration in milliseconds"));
-                cfg.sup.backoff_base = std::time::Duration::from_millis(ms);
+                cfg.queue_cap =
+                    exit::flag_value_if(&mut it, flag, "a queued-point cap >= 1", |n| *n >= 1);
             }
             other => {
                 eprintln!("noc-svc: unknown flag {other:?}");
@@ -88,10 +62,9 @@ fn main() {
         }
     }
     if !data_dir_set {
-        eprintln!(
-            "noc-svc: serve requires --data-dir (ledger, checkpoints and results live there)"
+        exit::usage_error(
+            "noc-svc: serve requires --data-dir (ledger, checkpoints and results live there)",
         );
-        std::process::exit(exit::USAGE);
     }
 
     match noc_svc::serve(cfg) {
@@ -102,18 +75,8 @@ fn main() {
             eprintln!("noc-svc: {e}");
             std::process::exit(exit::LOCKED);
         }
-        Err(e) => {
-            eprintln!("noc-svc: {e}");
-            std::process::exit(exit::USAGE);
-        }
+        Err(e) => exit::usage_error(format_args!("noc-svc: {e}")),
     }
-}
-
-fn parse<T: std::str::FromStr>(flag: &str, s: &str) -> T {
-    s.parse().unwrap_or_else(|_| {
-        eprintln!("noc-svc: {flag}: bad value {s:?}");
-        std::process::exit(exit::USAGE);
-    })
 }
 
 fn usage() {
