@@ -183,6 +183,11 @@ pub struct Bus {
     pub(crate) obs_busy: bool,
     /// Flits discarded by non-addressed multicast receivers (for RX power).
     pub discards: u64,
+    /// Writers with a VC parked on a reader's VCs, `writers.len() / 64`
+    /// words (rounded up) per reader: bit `w` of reader `r`'s mask is set
+    /// when writer `w`'s port parked a VC waiting on `vc_owner[r]`.
+    /// Derived, never snapshotted; empty until the first park.
+    parked_writers: Vec<u64>,
 }
 
 impl Bus {
@@ -224,7 +229,47 @@ impl Bus {
             released_this_cycle: false,
             obs_busy: false,
             discards: 0,
+            parked_writers: Vec::new(),
         }
+    }
+
+    /// Mark writer `w` as having a VC parked on `reader`'s VCs.
+    pub(crate) fn park_writer(&mut self, reader: u16, w: u16) {
+        let words = self.writers.len().div_ceil(64);
+        if self.parked_writers.is_empty() {
+            self.parked_writers = vec![0; self.readers.len() * words];
+        }
+        self.parked_writers[reader as usize * words + w as usize / 64] |= 1 << (w % 64);
+    }
+
+    /// `vc_owner[reader][·]` was released: clear `reader`'s mask and call
+    /// `wake(endpoint)` on every writer endpoint it marked.
+    #[inline]
+    pub(crate) fn wake_reader(&mut self, reader: u16, mut wake: impl FnMut(Endpoint)) {
+        if self.parked_writers.is_empty() {
+            return;
+        }
+        let words = self.writers.len().div_ceil(64);
+        for w in 0..words {
+            let mut mask = std::mem::take(&mut self.parked_writers[reader as usize * words + w]);
+            while mask != 0 {
+                wake(self.writers[w * 64 + mask.trailing_zeros() as usize]);
+                mask &= mask - 1;
+            }
+        }
+    }
+
+    /// Whether writer `w` is marked on `reader`'s mask.
+    pub(crate) fn writer_marked(&self, reader: u16, w: u16) -> bool {
+        let words = self.writers.len().div_ceil(64);
+        self.parked_writers
+            .get(reader as usize * words + w as usize / 64)
+            .is_some_and(|m| m & (1 << (w % 64)) != 0)
+    }
+
+    /// Clear every reader's mask.
+    pub(crate) fn forget_parks(&mut self) {
+        self.parked_writers.fill(0);
     }
 
     /// Whether writer `w` may transmit at `now`: token held, medium free.

@@ -35,7 +35,14 @@
 //! 9. **VC work sets** — every router's three input-VC bitsets (buffer
 //!    non-empty, `Routed`, `Active`) equal a recomputation from its VC
 //!    buffers and states, so RC, VCA and SA stage 1, which visit only set
-//!    bits, skip no VC with work.
+//!    bits, skip no VC with work. The `parked` set is not derived from a
+//!    VC's own state, so this audit ignores it.
+//! 10. **Parked VCs** — every parked VC is `Routed`; every output VC in
+//!     its range is held at this router or owned on the bus, so an attempt
+//!     would fail; and it is marked where a wake finds it: on its output
+//!     port and, for a bus, its writer on the reader. After a sharded step
+//!     no VC bound for a boundary bus is parked (their allocations replay
+//!     without parking, so a replayed release has nothing to wake).
 
 use std::collections::HashSet;
 
@@ -111,6 +118,7 @@ impl Network {
         self.check_active_sets();
         self.check_conservation();
         self.check_work_sets();
+        self.check_parks();
         // 8. Shard-plan consistency — while the parallel engine is armed,
         //    the plan's component partition must still describe the
         //    network exactly (id bounds, media locality, NIC attachment);
@@ -238,6 +246,55 @@ impl Network {
         for r in &self.routers {
             if let Err(e) = r.audit_work_sets() {
                 panic!("router {}: VC work sets diverged from VC state: {e}", r.id);
+            }
+        }
+    }
+
+    /// Invariant 10: skipping a parked VC skips an attempt that would fail,
+    /// and the release that could make it succeed wakes it.
+    fn check_parks(&self) {
+        let boundary_from = match self.par.as_deref() {
+            Some(p) if !self.stepped_serially => p.plan.n_local_buses,
+            _ => usize::MAX,
+        };
+        for r in &self.routers {
+            let mut from = 0;
+            while let Some(i) = r.work.next_parked(from) {
+                from = i + 1;
+                let (pi, vi) = r.vc_at(i);
+                let at = format!("router {}: parked in ({pi},{vi})", r.id);
+                let VcState::Routed { out_port, vc_lo, vc_hi, reader } =
+                    r.in_ports[pi].vcs[vi].state()
+                else {
+                    panic!("{at} is not Routed");
+                };
+                let op = &r.out_ports[out_port as usize];
+                for ovc in vc_lo..=vc_hi {
+                    let owned = match op.target {
+                        OutTarget::Bus { bus, .. } => self.buses[bus as usize].vc_owner
+                            [reader as usize][ovc as usize]
+                            .is_some(),
+                        _ => false,
+                    };
+                    assert!(
+                        op.vcs[ovc as usize].holder.is_some() || owned,
+                        "{at} has a free output VC {ovc} on out port {out_port}"
+                    );
+                }
+                assert!(
+                    r.marked_on_port(i, out_port as usize),
+                    "{at}: not marked on out port {out_port}"
+                );
+                if let OutTarget::Bus { bus, writer } = op.target {
+                    assert!(
+                        self.buses[bus as usize].writer_marked(reader, writer),
+                        "{at}: writer {writer} not marked on bus {bus} reader {reader}"
+                    );
+                    assert!(
+                        (bus as usize) < boundary_from,
+                        "{at} waits on boundary bus {bus} after a sharded step"
+                    );
+                }
             }
         }
     }

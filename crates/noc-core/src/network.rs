@@ -112,6 +112,10 @@ pub struct Network {
     /// both demand the exact global event/RNG order — and results are
     /// bit-identical either way (see [`crate::par`]).
     pub(crate) par: Option<Box<ParState>>,
+    /// Set by every serial step. The serial engine parks VCs bound for
+    /// boundary buses, which the sharded engine never does (it would wake
+    /// them one VCA too late), so its next step forgets every park first.
+    pub(crate) stepped_serially: bool,
 }
 
 impl Network {
@@ -160,6 +164,7 @@ impl Network {
             metrics: None,
             cancel: None,
             par: None,
+            stepped_serially: false,
         }
     }
 
@@ -230,6 +235,8 @@ impl Network {
     pub(crate) fn rebuild_active_sets(&mut self) {
         let now = self.now;
         let has_obs = self.observer.is_some();
+        // Parks are derived too: forgetting them only costs one retry each.
+        self.forget_parks();
         self.total_backlog = self.nics.iter().map(|n| n.backlog() as u64).sum();
         self.router_list.clear();
         for (ri, r) in self.routers.iter().enumerate() {
@@ -271,6 +278,12 @@ impl Network {
                 self.nic_list.push(ni);
             }
         }
+    }
+
+    /// Unpark every VC, in every router and bus.
+    pub(crate) fn forget_parks(&mut self) {
+        self.routers.iter_mut().for_each(Router::forget_parks);
+        self.buses.iter_mut().for_each(Bus::forget_parks);
     }
 
     /// Run the full invariant audit every `every` cycles at the end of
@@ -515,8 +528,12 @@ impl Network {
             && self.fault.is_none()
             && self.observer.is_none()
         {
+            if std::mem::take(&mut self.stepped_serially) {
+                self.forget_parks();
+            }
             self.step_par();
         } else {
+            self.stepped_serially = true;
             self.step_serial();
         }
         if self.metrics.is_some() {
@@ -837,14 +854,18 @@ impl Network {
                 }
             }
         }
+        // Replayed allocations never park: a release that could wake them
+        // (a replayed `BusSend` tail) lands after the shards' VCA, one VCA
+        // too late. So no boundary-bound VC is ever parked here, and the
+        // replayed `BusSend` above has nothing to wake.
         for ctx in par.shards.iter_mut() {
             for (gri, pi, vi) in ctx.vca_intents.drain(..) {
-                try_vc_alloc(&mut self.routers[gri], &mut self.buses, 0, now, pi, vi, false);
+                try_vc_alloc(&mut self.routers[gri], &mut self.buses, 0, now, pi, vi, false, false);
             }
         }
         for ctx in par.shards.iter_mut() {
             for (gri, pi, vi) in ctx.rc_intents.drain(..) {
-                try_vc_alloc(&mut self.routers[gri], &mut self.buses, 0, now, pi, vi, true);
+                try_vc_alloc(&mut self.routers[gri], &mut self.buses, 0, now, pi, vi, true, false);
             }
         }
 
@@ -1553,10 +1574,11 @@ impl Network {
         }
 
         let op = &mut router.out_ports[out_port as usize];
+        let target = op.target;
         flit.vc = out_vc;
         // The link-level retry budget is per hop; poisoning persists.
         flit.retries = 0;
-        match op.target {
+        match target {
             OutTarget::Channel(ch) => {
                 flit.hops += 1;
                 op.vcs[out_vc as usize].credits -= 1;
@@ -1687,7 +1709,16 @@ impl Network {
             }
         }
         if is_tail {
+            // Wake site 1: an output VC of this port is free again.
             router.out_ports[out_port as usize].vcs[out_vc as usize].holder = None;
+            router.wake_port(out_port as usize);
+            // Wake site 2: the tail released `vc_owner[reader][out_vc]`.
+            if let OutTarget::Bus { bus, .. } = target {
+                let routers = &mut self.routers;
+                self.buses[bus as usize].wake_reader(reader, |(r, p)| {
+                    routers[r as usize].wake_port(p as usize);
+                });
+            }
         }
     }
 
@@ -1695,13 +1726,25 @@ impl Network {
 
     fn vca(&mut self) {
         let now = self.now;
+        // On the profiler's timed cycles, count the allocation attempts and
+        // the parked VCs VCA skipped.
+        let counting = self.profiler.as_deref().is_some_and(StageProfiler::timing);
+        let (mut attempts, mut parked) = (0u64, 0u64);
         // Only routers holding flits can have a `Routed` VC (routes are
         // computed on buffered heads, and the flits stay put until SA).
         let Network { routers, buses, router_list, .. } = &mut *self;
         for &ri in router_list.iter() {
-            vca_router(&mut routers[ri], now, |router, pi, vi| {
-                try_vc_alloc(router, buses, 0, now, pi, vi, false);
+            let router = &mut routers[ri];
+            if counting {
+                parked += u64::from(router.work.parked_count());
+            }
+            vca_router(router, now, |router, pi, vi| {
+                attempts += 1;
+                try_vc_alloc(router, buses, 0, now, pi, vi, false, true);
             });
+        }
+        if let Some(p) = self.profiler.as_deref_mut().filter(|_| counting) {
+            p.count_vca(attempts, parked);
         }
     }
 
@@ -1715,7 +1758,7 @@ impl Network {
         let routing = &**routing;
         for &ri in router_list.iter() {
             rc_router(&mut routers[ri], routing, now, |router, pi, vi| {
-                try_vc_alloc(router, buses, 0, now, pi, vi, true);
+                try_vc_alloc(router, buses, 0, now, pi, vi, true, true);
             });
         }
     }
@@ -1820,9 +1863,9 @@ pub(crate) fn sa_nominate(
     }
 }
 
-/// VCA for one router: `alloc(router, pi, vi)` for every `Routed` VC, in
-/// the old scan order — ports rotated to start at `now % ports`, VCs
-/// ascending within a port.
+/// VCA for one router: `alloc(router, pi, vi)` for every `Routed` VC that
+/// is not parked, in the old scan order — ports rotated to start at
+/// `now % ports`, VCs ascending within a port.
 pub(crate) fn vca_router(
     router: &mut Router,
     now: Cycle,
@@ -1905,6 +1948,12 @@ pub(crate) fn rc_router(
 /// the input VC becomes Active with `stage_cycle = now`. `same_cycle` skips
 /// the one-stage-per-cycle guard — used by speculative RC+VCA, where both
 /// stages legitimately share a cycle.
+///
+/// When every output VC in range is taken and `park` is set, the VC is
+/// parked: marked on its output port and, for a bus, its writer marked on
+/// the reader, so VCA skips it until a release there wakes it. A failed
+/// attempt writes nothing else, so skipping it changes no result.
+#[allow(clippy::too_many_arguments)] // hot-path helper shared by both engines
 pub(crate) fn try_vc_alloc(
     router: &mut Router,
     buses: &mut [Bus],
@@ -1913,6 +1962,7 @@ pub(crate) fn try_vc_alloc(
     pi: usize,
     vi: usize,
     same_cycle: bool,
+    park: bool,
 ) {
     let ivc = &router.in_ports[pi].vcs[vi];
     let VcState::Routed { out_port, vc_lo, vc_hi, reader } = ivc.state() else {
@@ -1939,7 +1989,15 @@ pub(crate) fn try_vc_alloc(
             break;
         }
     }
-    let Some(ovc) = granted else { return };
+    let Some(ovc) = granted else {
+        if park {
+            router.park(pi, vi, out_port as usize);
+            if let OutTarget::Bus { bus, writer } = target {
+                buses[bus as usize - bus_base].park_writer(reader, writer);
+            }
+        }
+        return;
+    };
     router.out_ports[out_port as usize].vcs[ovc as usize].holder = Some((pi as u16, vi as u8));
     if let OutTarget::Bus { bus, writer } = target {
         buses[bus as usize - bus_base].vc_owner[reader as usize][ovc as usize] = Some(writer);

@@ -836,13 +836,27 @@ fn traverse(v: &mut ShardView, gri: usize, pi: usize, vi: usize) {
         }
     }
     if is_tail {
-        v.routers[lr].out_ports[out_port as usize].vcs[out_vc as usize].holder = None;
+        // The serial engine's wake sites 1 and 2 (a boundary bus has no
+        // parked writer: its allocations replay without parking).
+        let router = &mut v.routers[lr];
+        router.out_ports[out_port as usize].vcs[out_vc as usize].holder = None;
+        router.wake_port(out_port as usize);
+        if let OutTarget::Bus { bus, .. } = router.out_ports[out_port as usize].target {
+            if (bus as usize) < v.n_local_buses {
+                let (routers, base) = (&mut *v.routers, v.router_base);
+                v.buses[bus as usize - v.bus_base].wake_reader(reader, |(r, p)| {
+                    routers[r as usize - base].wake_port(p as usize);
+                });
+            }
+        }
     }
 }
 
 /// Phase 3: VC allocation over the compacted work list. Allocations on
 /// boundary buses are deferred — `vc_owner` slots interleave across shards
-/// in serial router order, which only the replay can reproduce.
+/// in serial router order, which only the replay can reproduce. Local
+/// failures park as in the serial engine: every release that can wake them
+/// happens in this shard's SA/ST, before this phase.
 fn vca(v: &mut ShardView) {
     let now = v.now;
     let nlb = v.n_local_buses;
@@ -850,7 +864,7 @@ fn vca(v: &mut ShardView) {
         let (buses, bus_base, intents) = (&mut *v.buses, v.bus_base, &mut v.ctx.vca_intents);
         vca_router(&mut v.routers[gri - v.router_base], now, |router, pi, vi| {
             if !bound_for_boundary_bus(router, pi, vi, nlb) {
-                try_vc_alloc(router, buses, bus_base, now, pi, vi, false);
+                try_vc_alloc(router, buses, bus_base, now, pi, vi, false, true);
             } else if router.in_ports[pi].vcs[vi].stage_cycle < now {
                 intents.push((gri, pi, vi));
             }
@@ -869,7 +883,7 @@ fn rc(v: &mut ShardView) {
             if bound_for_boundary_bus(router, pi, vi, nlb) {
                 intents.push((gri, pi, vi));
             } else {
-                try_vc_alloc(router, buses, bus_base, now, pi, vi, true);
+                try_vc_alloc(router, buses, bus_base, now, pi, vi, true, true);
             }
         });
     }

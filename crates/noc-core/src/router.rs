@@ -20,6 +20,14 @@
 //! and states are private to this module: every change goes through a
 //! `Router` method that keeps the bits exact, and invariant 9
 //! (`Network::check_invariants`) recomputes them from scratch.
+//!
+//! A fourth set, `parked`, holds the `Routed` VCs whose last allocation
+//! attempt found every output VC in range taken; VCA skips them. Each
+//! parked VC is also marked in its output port's park mask, and
+//! [`Router::wake_port`] unparks the whole mask when an output VC of that
+//! port (or, for a bus, a reader VC it waits on) is released. Parking is
+//! derived state: it never changes a result (invariant 10) and is never
+//! snapshotted.
 
 use std::collections::VecDeque;
 
@@ -77,6 +85,9 @@ struct VcWord {
     routed: u64,
     /// State is `Active`.
     active: u64,
+    /// `Routed` and waiting for a release (VCA skips it). Not derived
+    /// from the VC alone, so invariant 9 ignores it; invariant 10 checks it.
+    parked: u64,
 }
 
 /// A VC's membership in the three work sets: (non-empty, Routed, Active).
@@ -117,10 +128,21 @@ impl VcSets {
         self.next(from, |w| w.nonempty & !(w.routed | w.active))
     }
 
-    /// Next `Routed` VC (VCA's work) at or after `from`.
+    /// Next `Routed` VC that is not parked (VCA's work) at or after `from`.
     #[inline]
     pub(crate) fn next_routed(&self, from: usize) -> Option<usize> {
-        self.next(from, |w| w.routed)
+        self.next(from, |w| w.routed & !w.parked)
+    }
+
+    /// Next parked VC at or after `from`.
+    #[inline]
+    pub(crate) fn next_parked(&self, from: usize) -> Option<usize> {
+        self.next(from, |w| w.parked)
+    }
+
+    /// Number of parked VCs.
+    pub(crate) fn parked_count(&self) -> u32 {
+        self.words.iter().map(|w| w.parked.count_ones()).sum()
     }
 
     /// Next `Active` VC (SA stage 1's work) at or after `from`.
@@ -129,12 +151,17 @@ impl VcSets {
         self.next(from, |w| w.active)
     }
 
+    /// Write VC `i`'s three derived bits; a VC that is not `Routed` is
+    /// also unparked.
     fn put(&mut self, i: usize, (nonempty, routed, active): (bool, bool, bool)) {
         let (w, bit) = (&mut self.words[i / 64], i % 64);
         let keep = !(1u64 << bit);
         w.nonempty = (w.nonempty & keep) | (u64::from(nonempty) << bit);
         w.routed = (w.routed & keep) | (u64::from(routed) << bit);
         w.active = (w.active & keep) | (u64::from(active) << bit);
+        if !routed {
+            w.parked &= keep;
+        }
     }
 }
 
@@ -208,6 +235,11 @@ pub struct Router {
     pub(crate) power_radix: Option<u16>,
     /// Which input VCs have work for RC, VCA and SA stage 1.
     pub(crate) work: VcSets,
+    /// Per-output-port park masks, `work.words.len()` words per port:
+    /// bit `i` of port `op`'s mask is set when VC `i` parked waiting on
+    /// `op`. Empty until the first park; bits of VCs that left `Routed`
+    /// may linger and only cause a spurious wake.
+    park_masks: Vec<u64>,
 }
 
 impl Router {
@@ -221,6 +253,7 @@ impl Router {
             speculative,
             power_radix: None,
             work: VcSets::default(),
+            park_masks: Vec::new(),
         }
     }
 
@@ -368,8 +401,48 @@ impl Router {
         self.sync(pi, vi);
     }
 
+    /// Park the `Routed` VC `(pi, vi)`, whose allocation on output port
+    /// `op` just failed, until [`Router::wake_port`]`(op)`.
+    pub(crate) fn park(&mut self, pi: usize, vi: usize, op: usize) {
+        let words = self.work.words.len();
+        if self.park_masks.is_empty() {
+            self.park_masks = vec![0; self.out_ports.len() * words];
+        }
+        let i = pi * self.vcs as usize + vi;
+        self.work.words[i / 64].parked |= 1 << (i % 64);
+        self.park_masks[op * words + i / 64] |= 1 << (i % 64);
+    }
+
+    /// Unpark every VC parked on output port `op`.
+    #[inline]
+    pub(crate) fn wake_port(&mut self, op: usize) {
+        if self.park_masks.is_empty() {
+            return;
+        }
+        let words = self.work.words.len();
+        let masks = &mut self.park_masks[op * words..(op + 1) * words];
+        for (w, m) in self.work.words.iter_mut().zip(masks) {
+            w.parked &= !std::mem::take(m);
+        }
+    }
+
+    /// Unpark every VC (restore, deadlock recovery, engine switch).
+    pub(crate) fn forget_parks(&mut self) {
+        self.park_masks.fill(0);
+        for w in &mut self.work.words {
+            w.parked = 0;
+        }
+    }
+
+    /// Whether VC bit `i` is marked in output port `op`'s park mask.
+    pub(crate) fn marked_on_port(&self, i: usize, op: usize) -> bool {
+        let words = self.work.words.len();
+        self.park_masks.get(op * words + i / 64).is_some_and(|m| m & (1 << (i % 64)) != 0)
+    }
+
     /// Compare the work sets with a recomputation from every VC's buffer
-    /// and state (invariant 9); describes the first mismatch.
+    /// and state (invariant 9, which ignores `parked`); describes the
+    /// first mismatch.
     pub(crate) fn audit_work_sets(&self) -> Result<(), String> {
         let nv = self.vcs as usize;
         let slots = self.in_ports.len() * nv;
@@ -387,6 +460,7 @@ impl Router {
             ));
         }
         for (w, (got, want)) in self.work.words.iter().zip(&expect.words).enumerate() {
+            let got = &VcWord { parked: 0, ..*got };
             if got != want {
                 return Err(format!("word {w}: tracked {got:?}, recomputed {want:?}"));
             }
@@ -525,6 +599,144 @@ mod tests {
         r.work.words[1].routed |= 1 << 3;
         let err = r.audit_work_sets().unwrap_err();
         assert!(err.contains("word 1"), "got: {err}");
+    }
+
+    /// VC `(pi, vi)` routed to output port `op`, VCs 0–3.
+    fn route(r: &mut Router, pi: usize, vi: usize, op: PortId) {
+        let state = VcState::Routed { out_port: op, vc_lo: 0, vc_hi: 3, reader: 0 };
+        r.load_vc(pi, vi, packet_flits(pi as u64, 1).into_iter().map(|f| (0, f)).collect(), state);
+    }
+
+    #[test]
+    fn parked_vcs_skip_vca_until_their_port_wakes() {
+        let mut r = wide_router();
+        r.add_out_port(OutTarget::Eject(1), u32::MAX, 15);
+        route(&mut r, 12, 4, 0);
+        route(&mut r, 3, 0, 1);
+        route(&mut r, 14, 1, 1);
+        r.park(12, 4, 0);
+        r.park(3, 0, 1);
+        assert_eq!(collect(&r, VcSets::next_routed), [(14, 1)]);
+        assert_eq!(collect(&r, VcSets::next_parked), [(3, 0), (12, 4)]);
+        assert_eq!(r.work.parked_count(), 2);
+        assert_eq!(r.audit_work_sets(), Ok(()), "invariant 9 ignores parked");
+        r.wake_port(1);
+        assert_eq!(collect(&r, VcSets::next_routed), [(3, 0), (14, 1)]);
+        assert_eq!(collect(&r, VcSets::next_parked), [(12, 4)]);
+        r.wake_port(1);
+        assert_eq!(r.work.parked_count(), 1, "a second wake finds nothing");
+        r.wake_port(0);
+        assert_eq!(collect(&r, VcSets::next_routed), [(3, 0), (12, 4), (14, 1)]);
+        assert_eq!(r.work.parked_count(), 0);
+    }
+
+    #[test]
+    fn leaving_routed_unparks() {
+        let mut r = wide_router();
+        route(&mut r, 12, 4, 0);
+        r.park(12, 4, 0);
+        r.set_vc_state(12, 4, ACTIVE);
+        assert_eq!(r.work.parked_count(), 0);
+        // Routed again (the next packet): visited by VCA, not parked.
+        r.set_vc_state(12, 4, ROUTED);
+        assert_eq!(collect(&r, VcSets::next_routed), [(12, 4)]);
+        // The stale port-mask bit only causes a spurious wake.
+        r.wake_port(0);
+        assert_eq!(collect(&r, VcSets::next_routed), [(12, 4)]);
+        r.park(12, 4, 0);
+        r.forget_parks();
+        assert_eq!(collect(&r, VcSets::next_routed), [(12, 4)]);
+        assert_eq!(r.audit_work_sets(), Ok(()));
+    }
+
+    // ---- parking in a running network ----------------------------------
+
+    /// Four writers (routers 1–4, one core each) share an MWSR bus into
+    /// router 0. Every packet goes to core 0, so a writer's routed VCs
+    /// keep finding the reader's VCs owned by another writer, and park.
+    fn bus_contention_net() -> crate::Network {
+        use crate::routing::{RouteDecision, TableRouting};
+        use crate::{BusKind, LinkClass, NetworkBuilder, RouterConfig};
+        let cfg = RouterConfig::default();
+        let mut b = NetworkBuilder::new(5, 5, cfg);
+        for r in 0..5 {
+            b.attach_core(r, r);
+        }
+        let (_, writers, _) =
+            b.add_bus(BusKind::Mwsr, &[1, 2, 3, 4], &[0], 2, 1, 1, LinkClass::Photonic);
+        let mut table = vec![vec![RouteDecision::any_vc(0, cfg.vcs); 5]; 5];
+        for (w, &p) in writers.iter().enumerate() {
+            table[w + 1][0] = RouteDecision::any_vc(p, cfg.vcs);
+        }
+        let mut net = b.build(Box::new(TableRouting { table }));
+        net.set_audit_interval(1);
+        net
+    }
+
+    /// Offer one 4-flit packet per writer per cycle for `cycles` cycles.
+    fn flood(net: &mut crate::Network, cycles: u64) {
+        for _ in 0..cycles {
+            for src in 1..5 {
+                net.inject_packet(src, 0, 4);
+            }
+            net.step();
+        }
+    }
+
+    fn parked(net: &crate::Network) -> u32 {
+        net.routers.iter().map(|r| r.work.parked_count()).sum()
+    }
+
+    /// A cut taken with VCs parked resumes to the uninterrupted run's
+    /// snapshot bytes: parks are not snapshotted, and the restored network
+    /// starts with none.
+    #[test]
+    fn resume_from_a_cut_with_parked_vcs_matches_uninterrupted() {
+        let mut a = bus_contention_net();
+        flood(&mut a, 60);
+        assert!(parked(&a) > 0, "the cut must hold parked VCs");
+        let snap = a.snapshot();
+        let mut b = bus_contention_net();
+        b.restore(&snap).expect("restore");
+        assert_eq!(parked(&b), 0, "parks are derived, not restored");
+        for net in [&mut a, &mut b] {
+            flood(net, 40);
+            assert!(net.drain(20_000), "must drain");
+        }
+        assert_eq!(a.stats, b.stats);
+        assert_eq!(format!("{:?}", a.snapshot()), format!("{:?}", b.snapshot()));
+    }
+
+    /// Deadlock recovery flushes packets while VCs are parked; it forgets
+    /// every park, and the network still drains with every invariant held.
+    #[test]
+    fn recover_while_parked_then_drains() {
+        let mut net = bus_contention_net();
+        flood(&mut net, 60);
+        assert!(parked(&net) > 0);
+        let report = net.stall_report(net.now, false);
+        let rec = net.recover(&report, 3);
+        assert!(!rec.recovered.is_empty());
+        assert_eq!(parked(&net), 0, "recovery forgets every park");
+        net.check_invariants();
+        assert!(net.drain(20_000), "must drain after recovery");
+        net.check_invariants();
+        assert_eq!(net.stats.recoveries, rec.recovered.len() as u64);
+    }
+
+    /// Invariant 10: a parked VC with a free output VC in range would
+    /// never be retried by VCA.
+    #[test]
+    #[should_panic(expected = "has a free output VC 0")]
+    fn parked_vc_with_a_free_output_vc_fails_the_invariant_audit() {
+        let mut net = bus_contention_net();
+        let r = &mut net.routers[1];
+        // Port 1 is the bus writer (port 0 ejects). No flit is loaded, so
+        // only the park breaks an invariant.
+        let state = VcState::Routed { out_port: 1, vc_lo: 0, vc_hi: 3, reader: 0 };
+        r.load_vc(0, 0, VecDeque::new(), state);
+        r.park(0, 0, 1);
+        net.check_invariants();
     }
 
     /// A bit flipped behind the engine's back fails `check_invariants`.

@@ -83,6 +83,10 @@ pub struct StageBreakdown {
     pub avg_active_channels: f64,
     pub avg_active_buses: f64,
     pub avg_active_nics: f64,
+    /// Mean VC allocation attempts per timed cycle (serial engine), and
+    /// mean parked VCs VCA skipped on those cycles.
+    pub avg_vca_attempts: f64,
+    pub avg_parked_vcs: f64,
 }
 
 impl StageBreakdown {
@@ -122,6 +126,8 @@ pub struct StageProfiler {
     sum_active_channels: u64,
     sum_active_buses: u64,
     sum_active_nics: u64,
+    sum_vca_attempts: u64,
+    sum_parked_vcs: u64,
     series: Vec<StageSeriesPoint>,
     /// Time of the previous lap while a timed cycle runs; `None` on
     /// untimed cycles, whose laps then read no clock.
@@ -141,6 +147,8 @@ impl StageProfiler {
             sum_active_channels: 0,
             sum_active_buses: 0,
             sum_active_nics: 0,
+            sum_vca_attempts: 0,
+            sum_parked_vcs: 0,
             series: Vec::new(),
             mark: None,
         }
@@ -187,6 +195,18 @@ impl StageProfiler {
         }
     }
 
+    /// Whether this cycle is timed.
+    #[inline]
+    pub(crate) fn timing(&self) -> bool {
+        self.mark.is_some()
+    }
+
+    /// Add one timed cycle's VCA attempts and parked VCs.
+    pub(crate) fn count_vca(&mut self, attempts: u64, parked: u64) {
+        self.sum_vca_attempts += attempts;
+        self.sum_parked_vcs += parked;
+    }
+
     /// End-of-cycle bookkeeping: stop the cycle's clock and push a series
     /// point on the boundary.
     pub(crate) fn end_cycle(&mut self, now: Cycle) {
@@ -214,6 +234,8 @@ impl StageProfiler {
     pub fn breakdown(&self) -> StageBreakdown {
         let n = self.cycles_profiled;
         let avg = |sum: u64| if n == 0 { 0.0 } else { sum as f64 / n as f64 };
+        let timed = self.timed_cycles;
+        let per_timed = |sum: u64| if timed == 0 { 0.0 } else { sum as f64 / timed as f64 };
         StageBreakdown {
             cycles_profiled: n,
             timed_cycles: self.timed_cycles,
@@ -222,6 +244,8 @@ impl StageProfiler {
             avg_active_channels: avg(self.sum_active_channels),
             avg_active_buses: avg(self.sum_active_buses),
             avg_active_nics: avg(self.sum_active_nics),
+            avg_vca_attempts: per_timed(self.sum_vca_attempts),
+            avg_parked_vcs: per_timed(self.sum_parked_vcs),
         }
     }
 }

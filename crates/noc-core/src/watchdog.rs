@@ -566,7 +566,8 @@ impl Network {
         }
         // The sweep bypassed the incremental work-list maintenance; the
         // recompute also refreshes `total_backlog` after any cancelled
-        // source streams.
+        // source streams, and forgets every park (the flush released
+        // output VCs and bus claims without waking their waiters).
         self.rebuild_active_sets();
         Box::new(RecoveryReport { at: now, budget, recovered })
     }

@@ -150,8 +150,14 @@ pub fn export_metrics(result: &SimResult, path: &Path) -> io::Result<MetricsArti
         join_u64s(&mut s, &b.stage_nanos);
         let _ = write!(
             s,
-            ",\"avg_active\":[{:.3},{:.3},{:.3},{:.3}]}}",
-            b.avg_active_routers, b.avg_active_channels, b.avg_active_buses, b.avg_active_nics
+            ",\"avg_active\":[{:.3},{:.3},{:.3},{:.3}],\"avg_vca_attempts\":{:.3},\
+             \"avg_parked_vcs\":{:.3}}}",
+            b.avg_active_routers,
+            b.avg_active_channels,
+            b.avg_active_buses,
+            b.avg_active_nics,
+            b.avg_vca_attempts,
+            b.avg_parked_vcs
         );
         lines.push(s);
     }
@@ -446,6 +452,13 @@ pub fn summarize_metrics(path: &Path) -> Result<String, String> {
                 }
             }
         }
+        let avg = |key| st.get(key).and_then(Value::as_f64);
+        if let (Some(attempts), Some(parked)) = (avg("avg_vca_attempts"), avg("avg_parked_vcs")) {
+            let _ = writeln!(
+                out,
+                "VC allocation per timed cycle: {attempts:.1} attempts, {parked:.1} parked VCs skipped"
+            );
+        }
     }
     Ok(out)
 }
@@ -490,6 +503,7 @@ mod tests {
         let summary = summarize_metrics(&path).unwrap();
         assert!(summary.contains("OWN-256"), "{summary}");
         assert!(summary.contains("stage time"), "{summary}");
+        assert!(summary.contains("VC allocation per timed cycle"), "{summary}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

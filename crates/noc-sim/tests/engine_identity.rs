@@ -19,7 +19,7 @@ use noc_topology::{own, Own256Reconfig, ReconfigPolicy, Topology};
 use noc_traffic::{BernoulliInjector, TrafficPattern};
 
 mod common;
-use common::fingerprint;
+use common::{fingerprint, first_divergence, Run};
 
 /// Traffic seed (the `SimConfig` default).
 const SEED: u64 = 0x0517_2018;
@@ -74,6 +74,14 @@ fn full_stack_1024() -> Network {
 
 fn hotspot() -> TrafficPattern {
     TrafficPattern::Hotspot { target: 0, fraction: 0.2 }
+}
+
+/// `net` driven by the hotspot injector, fast-forwarded past `skip`
+/// cycles (a resumed run), for `first_divergence`.
+fn hotspot_run(net: Network, skip: u64) -> Run<'static> {
+    let mut inj = BernoulliInjector::new(0.04, 4, hotspot(), SEED);
+    inj.skip_cycles(skip, net.num_cores() as u32);
+    (net, Box::new(move |net| inj.drive(net, 1)))
 }
 
 // ---- pinned goldens ----------------------------------------------------
@@ -163,7 +171,16 @@ fn own256_full_stack_is_deterministic() {
         inj.drive(&mut net, RUN_256);
         net.stats
     };
-    assert_eq!(run(), run());
+    assert_eq!(
+        run(),
+        run(),
+        "{}",
+        first_divergence(
+            RUN_256,
+            || hotspot_run(full_stack_256(), 0),
+            || hotspot_run(full_stack_256(), 0)
+        )
+    );
 }
 
 // ---- checkpoint resume -------------------------------------------------
@@ -186,8 +203,21 @@ fn resume_matches_uninterrupted(cut: u64) {
     inj_b.skip_cycles(cut, b.num_cores() as u32);
     inj_b.drive(&mut b, RUN_256 - cut);
 
+    let diverge = || {
+        let uninterrupted = || {
+            let (mut net, mut step) = hotspot_run(full_stack_256(), 0);
+            (0..cut).for_each(|_| step(&mut net));
+            (net, step)
+        };
+        let resumed = || {
+            let mut net = full_stack_256();
+            net.restore(&snap).expect("restore");
+            hotspot_run(net, cut)
+        };
+        first_divergence(RUN_256 - cut, uninterrupted, resumed)
+    };
     assert_eq!(a.now, b.now, "cycle counter after resume (cut {cut})");
-    assert_eq!(a.stats, b.stats, "NetStats after resume (cut {cut})");
+    assert_eq!(a.stats, b.stats, "NetStats after resume (cut {cut}): {}", diverge());
     assert_eq!(
         fingerprint(&a.stats),
         GOLDEN_256_FP,

@@ -25,7 +25,7 @@ use noc_topology::{own, Own256Reconfig, ReconfigPolicy, Topology};
 use noc_traffic::{BernoulliInjector, TrafficPattern};
 
 mod common;
-use common::fingerprint;
+use common::{fingerprint, first_divergence, Run};
 
 /// Traffic seed (the `SimConfig` default).
 const SEED: u64 = 0x0517_2018;
@@ -82,6 +82,14 @@ fn hotspot() -> TrafficPattern {
     TrafficPattern::Hotspot { target: 0, fraction: 0.2 }
 }
 
+/// `net` driven by the suites' hotspot injector after `warm` cycles of it,
+/// for `first_divergence`.
+fn hotspot_run(mut net: Network, warm: u64) -> Run<'static> {
+    let mut inj = BernoulliInjector::new(0.04, 4, hotspot(), SEED);
+    inj.drive(&mut net, warm);
+    (net, Box::new(move |net| inj.drive(net, 1)))
+}
+
 /// Canonical checkpoint bytes of a network's current state (fixed driver
 /// metadata, so the comparison is purely over the engine snapshot).
 fn checkpoint_bytes(net: &Network, cycle: u64) -> String {
@@ -110,15 +118,23 @@ fn own256_identity_at_cut(cut: u64) {
 
     inj_s.drive(&mut serial, cut);
     inj_p.drive(&mut par, cut);
+    let diverge = |cycles| {
+        first_divergence(
+            cycles,
+            || hotspot_run(own256_net(1), 0),
+            || hotspot_run(own256_net(THREADS), 0),
+        )
+    };
     assert_eq!(
         checkpoint_bytes(&serial, cut),
         checkpoint_bytes(&par, cut),
-        "checkpoints diverge at cut {cut}"
+        "checkpoints diverge at cut {cut}: {}",
+        diverge(cut)
     );
 
     inj_s.drive(&mut serial, RUN_256 - cut);
     inj_p.drive(&mut par, RUN_256 - cut);
-    assert_eq!(serial.stats, par.stats, "NetStats diverge after cut {cut}");
+    assert_eq!(serial.stats, par.stats, "NetStats diverge after cut {cut}: {}", diverge(RUN_256));
     assert_eq!(fingerprint(&serial.stats), fingerprint(&par.stats));
 }
 
@@ -138,7 +154,16 @@ fn own256_parallel_matches_serial_at_every_thread_count() {
     let serial = run(1);
     for threads in [2, 3, 4] {
         let par = run(threads);
-        assert_eq!(serial, par, "NetStats diverge at --threads {threads}");
+        assert_eq!(
+            serial,
+            par,
+            "NetStats diverge at --threads {threads}: {}",
+            first_divergence(
+                RUN_256,
+                || hotspot_run(own256_net(1), 0),
+                || hotspot_run(own256_net(threads), 0)
+            )
+        );
     }
 }
 
@@ -155,10 +180,57 @@ fn own1024_saturated_parallel_matches_serial() {
     };
     let (serial, serial_bytes) = run(1);
     let (par, par_bytes) = run(THREADS);
-    assert_eq!(serial, par, "NetStats diverge on saturated OWN-1024");
-    assert_eq!(serial_bytes, par_bytes, "checkpoints diverge on saturated OWN-1024");
+    let diverge = || {
+        first_divergence(
+            RUN_1024,
+            || hotspot_run(own1024_net(1), 0),
+            || hotspot_run(own1024_net(THREADS), 0),
+        )
+    };
+    assert_eq!(serial, par, "NetStats diverge on saturated OWN-1024: {}", diverge());
+    assert_eq!(serial_bytes, par_bytes, "checkpoints diverge on saturated OWN-1024: {}", diverge());
     // The run must actually have exercised the shared media.
     assert!(serial.bus_flits.iter().sum::<u64>() > 0, "no bus traffic — test is vacuous");
+}
+
+/// OWN-1024 on the armed sharded engine, stepping serially for its first
+/// `serial` cycles (a profiler is attached, then taken).
+fn serial_then_sharded(serial: u64) -> Run<'static> {
+    let (mut net, mut step) = hotspot_run(own1024_net(THREADS), 0);
+    net.set_profiler(noc_core::StageProfiler::new(1));
+    let mut cycle = 0;
+    let stepper = move |net: &mut Network| {
+        if cycle == serial {
+            let prof = net.take_profiler().expect("profiler attached");
+            assert!(prof.breakdown().avg_parked_vcs > 0.0, "the serial steps parked nothing");
+        }
+        step(net);
+        cycle += 1;
+    };
+    (net, Box::new(stepper))
+}
+
+/// An armed engine that steps serially, then sharded, matches the serial
+/// engine. The serial steps park VCs bound for boundary buses, which the
+/// sharded engine must not inherit: their releases replay after its VCA.
+#[test]
+fn serial_steps_then_sharded_steps_match_serial() {
+    let (mut serial, mut step_s) = hotspot_run(own1024_net(1), 0);
+    let (mut mixed, mut step_m) = serial_then_sharded(RUN_1024 / 2);
+    for _ in 0..RUN_1024 {
+        step_s(&mut serial);
+        step_m(&mut mixed);
+    }
+    assert_eq!(
+        checkpoint_bytes(&serial, RUN_1024),
+        checkpoint_bytes(&mixed, RUN_1024),
+        "serial-then-sharded run diverges from the serial engine: {}",
+        first_divergence(
+            RUN_1024,
+            || hotspot_run(own1024_net(1), 0),
+            || serial_then_sharded(RUN_1024 / 2)
+        )
+    );
 }
 
 /// Cross-engine resume: a mid-run snapshot taken under the parallel
@@ -181,7 +253,22 @@ fn cross_engine_resume_identity() {
     let mut inj_s = BernoulliInjector::new(0.04, 4, hotspot(), SEED);
     inj_s.skip_cycles(cut, serial.num_cores() as u32);
     inj_s.drive(&mut serial, RUN_256 - cut);
-    assert_eq!(par.stats, serial.stats, "parallel→serial resume diverges");
+    // The uninterrupted parallel run against a network resumed from the cut.
+    let resumed = |threads| {
+        let mut net = own256_net(threads);
+        net.restore(&snap).expect("restore");
+        let mut inj = BernoulliInjector::new(0.04, 4, hotspot(), SEED);
+        inj.skip_cycles(cut, net.num_cores() as u32);
+        (net, Box::new(move |net: &mut Network| inj.drive(net, 1)) as Box<dyn FnMut(&mut Network)>)
+    };
+    let diverge = |threads| {
+        first_divergence(
+            RUN_256 - cut,
+            || hotspot_run(own256_net(THREADS), cut),
+            || resumed(threads),
+        )
+    };
+    assert_eq!(par.stats, serial.stats, "parallel→serial resume diverges: {}", diverge(1));
 
     // And the other direction: parallel network resumes the same snapshot.
     let mut par2 = own256_net(THREADS);
@@ -189,7 +276,7 @@ fn cross_engine_resume_identity() {
     let mut inj_p2 = BernoulliInjector::new(0.04, 4, hotspot(), SEED);
     inj_p2.skip_cycles(cut, par2.num_cores() as u32);
     inj_p2.drive(&mut par2, RUN_256 - cut);
-    assert_eq!(par.stats, par2.stats, "serial→parallel resume diverges");
+    assert_eq!(par.stats, par2.stats, "serial→parallel resume diverges: {}", diverge(THREADS));
 }
 
 // Identity must hold wherever the cut lands relative to the adaptive
@@ -207,7 +294,7 @@ fn own256_parallel_identity_any_cut() {
 /// exactly the unarmed serial run's, fingerprint included.
 #[test]
 fn faulted_run_with_engine_armed_matches_unarmed_serial() {
-    let run = |threads: usize| {
+    let build = |threads: usize| {
         let topo = Own256Reconfig::new(ReconfigPolicy::Adaptive { epoch: 256, hysteresis: 1024 });
         let mut net = topo.build(RouterConfig::default().with_throttle(16, 4));
         let faults = FaultConfig {
@@ -225,12 +312,21 @@ fn faulted_run_with_engine_armed_matches_unarmed_serial() {
             let map = cluster_map_for(&topo, &net);
             assert!(net.set_parallel(threads, &map.cluster_of_router));
         }
+        net
+    };
+    let run = |threads: usize| {
+        let mut net = build(threads);
         let mut inj = BernoulliInjector::new(0.04, 4, hotspot(), SEED);
         inj.drive(&mut net, RUN_256);
         net.stats
     };
     let serial = run(1);
     let armed = run(THREADS);
-    assert_eq!(serial, armed, "serial fallback changed results");
+    assert_eq!(
+        serial,
+        armed,
+        "serial fallback changed results: {}",
+        first_divergence(RUN_256, || hotspot_run(build(1), 0), || hotspot_run(build(THREADS), 0))
+    );
     assert_eq!(fingerprint(&serial), fingerprint(&armed));
 }
