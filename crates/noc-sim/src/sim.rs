@@ -195,12 +195,6 @@ impl Simulation {
         self.checkpoint_dir = Some(dir.into());
     }
 
-    /// Builder-style [`Simulation::set_checkpointing`].
-    pub fn with_checkpointing(mut self, every: u64, dir: impl Into<PathBuf>) -> Self {
-        self.set_checkpointing(every, dir);
-        self
-    }
-
     /// Set the progress-watchdog interval in cycles; 0 disables the
     /// watchdog. Defaults to
     /// [`noc_core::DEFAULT_WATCHDOG_INTERVAL`]. The watchdog only reads
@@ -208,12 +202,6 @@ impl Simulation {
     /// whether a stalled run is cut short.
     pub fn set_watchdog_interval(&mut self, interval: u64) {
         self.watchdog_interval = interval;
-    }
-
-    /// Builder-style [`Simulation::set_watchdog_interval`].
-    pub fn with_watchdog_interval(mut self, interval: u64) -> Self {
-        self.set_watchdog_interval(interval);
-        self
     }
 
     /// Enable watchdog-triggered deadlock **recovery**: when the watchdog
@@ -228,22 +216,10 @@ impl Simulation {
         self.recovery_attempts = attempts;
     }
 
-    /// Builder-style [`Simulation::set_recovery`].
-    pub fn with_recovery(mut self, budget: usize, attempts: u32) -> Self {
-        self.set_recovery(budget, attempts);
-        self
-    }
-
     /// Run the engine's invariant audit every `every` cycles (0 = off);
     /// see `noc_core::invariants`. Auditing panics on the first violation.
     pub fn set_audit_interval(&mut self, every: u64) {
         self.net.set_audit_interval(every);
-    }
-
-    /// Builder-style [`Simulation::set_audit_interval`].
-    pub fn with_audit_interval(mut self, every: u64) -> Self {
-        self.set_audit_interval(every);
-        self
     }
 
     /// Arm a cooperative cancellation token (see `noc_core::cancel`):
@@ -257,23 +233,11 @@ impl Simulation {
         self.net.set_cancel_token(token);
     }
 
-    /// Builder-style [`Simulation::set_cancel`].
-    pub fn with_cancel(mut self, token: CancelToken) -> Self {
-        self.set_cancel(token);
-        self
-    }
-
     /// Attach an engine event observer (e.g. a
     /// [`RingRecorder`](crate::obs::RingRecorder)); recover it from
     /// `SimResult::net` after the run via `Network::take_observer`.
     pub fn attach_observer(&mut self, obs: Box<dyn Observer>) {
         self.net.set_observer(obs);
-    }
-
-    /// Builder-style [`Simulation::attach_observer`].
-    pub fn with_observer(mut self, obs: Box<dyn Observer>) -> Self {
-        self.attach_observer(obs);
-        self
     }
 
     /// Attach a per-stage wall-clock profiler: stage times are sampled
@@ -285,12 +249,6 @@ impl Simulation {
         self.net.set_profiler(StageProfiler::new(sample_every).with_series(series_every));
     }
 
-    /// Builder-style [`Simulation::profile_stages`].
-    pub fn with_stage_profiler(mut self, sample_every: u64, series_every: u64) -> Self {
-        self.profile_stages(sample_every, series_every);
-        self
-    }
-
     /// Attach a spatial metrics registry aggregating by `topo`'s cluster
     /// structure, capturing a frame every `interval` cycles. Pure
     /// observation; retrieve the registry from `SimResult::net` via
@@ -298,12 +256,6 @@ impl Simulation {
     pub fn enable_metrics(&mut self, topo: &dyn Topology, interval: u64) {
         let map = crate::telemetry::cluster_map_for(topo, &self.net);
         self.net.attach_metrics(MetricsRegistry::new(map, interval));
-    }
-
-    /// Builder-style [`Simulation::enable_metrics`].
-    pub fn with_metrics(mut self, topo: &dyn Topology, interval: u64) -> Self {
-        self.enable_metrics(topo, interval);
-        self
     }
 
     /// Arm the cluster-sharded parallel engine (see `noc_core::par`) with
@@ -318,23 +270,11 @@ impl Simulation {
         self.net.set_parallel(threads, &map.cluster_of_router)
     }
 
-    /// Builder-style [`Simulation::set_threads`].
-    pub fn with_threads(mut self, threads: usize, topo: &dyn Topology) -> Self {
-        self.set_threads(threads, topo);
-        self
-    }
-
     /// Attach a fault model (scheduled failures + link error process); see
     /// `noc_core::fault`. With an empty schedule and zero BER the model is
     /// inert and results are bit-identical to a run without it.
     pub fn attach_faults(&mut self, cfg: FaultConfig) {
         self.net.attach_faults(cfg);
-    }
-
-    /// Builder-style [`Simulation::attach_faults`].
-    pub fn with_faults(mut self, cfg: FaultConfig) -> Self {
-        self.attach_faults(cfg);
-        self
     }
 
     /// The underlying network, e.g. to resolve wireless bands to channel
@@ -614,11 +554,13 @@ mod tests {
     fn watchdog_and_audit_do_not_change_results() {
         let cfg =
             SimConfig { rate: 0.03, warmup: 100, measure: 500, drain: 2_000, ..Default::default() };
-        let plain = Simulation::new(&CMesh::new(64), cfg).with_watchdog_interval(0).run();
-        let guarded = Simulation::new(&CMesh::new(64), cfg)
-            .with_watchdog_interval(64)
-            .with_audit_interval(50)
-            .run();
+        let mut plain = Simulation::new(&CMesh::new(64), cfg);
+        plain.set_watchdog_interval(0);
+        let plain = plain.run();
+        let mut guarded = Simulation::new(&CMesh::new(64), cfg);
+        guarded.set_watchdog_interval(64);
+        guarded.set_audit_interval(50);
+        let guarded = guarded.run();
         assert_eq!(plain.net.stats, guarded.net.stats);
         assert!(guarded.stall.is_none());
     }
@@ -644,7 +586,9 @@ mod tests {
         };
         let token = noc_core::CancelToken::new();
         token.cancel();
-        let r = Simulation::new(&CMesh::new(64), cfg).with_cancel(token).run();
+        let mut sim = Simulation::new(&CMesh::new(64), cfg);
+        sim.set_cancel(token);
+        let r = sim.run();
         assert!(r.cancelled);
         // The token is polled at the first cycle boundary, so essentially no
         // simulated time elapses and no measurement window opens.
@@ -657,8 +601,9 @@ mod tests {
         let cfg =
             SimConfig { rate: 0.03, warmup: 100, measure: 500, drain: 2_000, ..Default::default() };
         let plain = Simulation::new(&CMesh::new(64), cfg).run();
-        let armed =
-            Simulation::new(&CMesh::new(64), cfg).with_cancel(noc_core::CancelToken::new()).run();
+        let mut armed = Simulation::new(&CMesh::new(64), cfg);
+        armed.set_cancel(noc_core::CancelToken::new());
+        let armed = armed.run();
         assert!(!armed.cancelled);
         assert_eq!(plain.net.stats, armed.net.stats);
     }

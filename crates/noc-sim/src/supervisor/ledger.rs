@@ -189,6 +189,14 @@ impl Replay {
     pub fn count(&self, word: &str) -> usize {
         self.points.values().filter(|p| p.state.word() == word).count()
     }
+
+    /// The metrics of `fp` if its final state is `done`.
+    pub fn done(&self, fp: u64) -> Option<&PointMetrics> {
+        match &self.points.get(&fp)?.state {
+            PointState::Done(m) => Some(m),
+            _ => None,
+        }
+    }
 }
 
 /// Replay `run_dir`'s ledger. A missing file is an empty (fresh) replay.
@@ -294,6 +302,7 @@ fn decode_metrics(v: &Value) -> Option<PointMetrics> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use noc_core::rng::{for_cases, SplitMix64};
     use std::path::PathBuf;
 
     fn test_dir(name: &str) -> PathBuf {
@@ -385,6 +394,49 @@ mod tests {
         assert_eq!(rep.count("running"), 1);
         assert_eq!(rep.run_starts, 1);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// An f64 that stresses the shortest round-trip codec: raw bit patterns
+    /// (NaN payloads included), subnormals of either sign, or an edge value.
+    fn awkward_f64(g: &mut SplitMix64) -> f64 {
+        const EDGES: [f64; 9] = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            f64::EPSILON,
+        ];
+        match g.next_u64() % 3 {
+            0 => f64::from_bits(g.next_u64()),
+            1 => f64::from_bits(g.next_u64() & 0x800f_ffff_ffff_ffff),
+            _ => EDGES[(g.next_u64() % EDGES.len() as u64) as usize],
+        }
+    }
+
+    /// Results are rendered from in-memory metrics by the service and from
+    /// replayed ones by the CLI; both must print the same text.
+    #[test]
+    fn metrics_codec_round_trips_as_text() {
+        for_cases(0x6d65_7472_6963_7301, 1024, |_, g| {
+            let m = PointMetrics {
+                avg_latency: awkward_f64(g),
+                p50_latency: g.next_u64(),
+                p95_latency: g.next_u64(),
+                p99_latency: g.next_u64(),
+                throughput: awkward_f64(g),
+                delivered_fraction: awkward_f64(g),
+                packets_measured: g.next_u64(),
+                cycles: g.next_u64(),
+            };
+            let text = encode_metrics(&m);
+            let v: Value = text.parse().unwrap_or_else(|e| panic!("{text} is not JSON: {e:?}"));
+            let back = decode_metrics(&v).unwrap_or_else(|| panic!("{text} does not decode"));
+            assert_eq!(encode_metrics(&back), text);
+        });
     }
 
     #[test]

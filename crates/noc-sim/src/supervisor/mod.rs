@@ -270,7 +270,10 @@ impl SweepOutcome {
 
 /// Run (or resume) a sweep in `run_dir`. See the module docs for the
 /// failure semantics; this function is safe to invoke repeatedly on the
-/// same directory until [`SweepOutcome::complete`].
+/// same directory until [`SweepOutcome::complete`]. The outcome and
+/// `results.json` come from one ledger replay taken after the batch, so
+/// points finished by an earlier invocation render exactly as points
+/// finished by this one.
 pub fn run_sweep(
     run_dir: &Path,
     sweep: &SweepSpec,
@@ -540,27 +543,27 @@ fn backoff_delay(base: Duration, try_no: u32, fp: u64) -> Duration {
     capped + Duration::from_nanos(jitter)
 }
 
-/// Render the merged, idx-ordered `own-noc-results/v1` document. Always
-/// regenerated from a ledger replay so the bytes do not depend on which
-/// invocation finished which point — that replay-determinism is what
-/// makes interrupted and uninterrupted runs byte-identical. Errors if
-/// any point lacks a `done` record.
-pub fn render_results(spec_fp: u64, points: &[PointSpec], rep: &Replay) -> io::Result<String> {
+/// Render the merged, idx-ordered `own-noc-results/v1` document from
+/// each point's `done` metrics, looked up by fingerprint: the CLI
+/// supervisor passes its post-batch ledger replay, the service its
+/// in-memory registry. Metrics are printed in shortest round-trip form,
+/// so the bytes do not depend on whether a value was replayed from the
+/// ledger or kept in memory, nor on which invocation finished which
+/// point. Errors if any point has no `done` metrics.
+pub fn render_results<'m>(
+    spec_fp: u64,
+    points: &[PointSpec],
+    done: impl Fn(u64) -> Option<&'m PointMetrics>,
+) -> io::Result<String> {
     use std::fmt::Write as _;
     let mut s = format!("{{\"schema\":\"{RESULTS_SCHEMA}\",\"spec_fp\":\"{spec_fp:016x}\",");
     s.push_str("\"points\":[\n");
     for (i, p) in points.iter().enumerate() {
         let fp = p.fingerprint();
-        let Some(rp) = rep.points.get(&fp) else {
+        let Some(m) = done(fp) else {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
-                format!("results: ledger has no record for {}", p.label()),
-            ));
-        };
-        let PointState::Done(m) = &rp.state else {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("results: {} is {} in the ledger", p.label(), rp.state.word()),
+                format!("results: {} is not done", p.label()),
             ));
         };
         write!(
@@ -588,7 +591,7 @@ fn write_results(
     points: &[PointSpec],
     rep: &Replay,
 ) -> io::Result<PathBuf> {
-    let s = render_results(spec_fp, points, rep)?;
+    let s = render_results(spec_fp, points, |fp| rep.done(fp))?;
     let final_path = run_dir.join(RESULTS_FILE);
     checkpoint::atomic_write(&final_path, s.as_bytes())?;
     Ok(final_path)

@@ -3,11 +3,18 @@
 
 use noc_core::obs::{CountingObserver, EventKind, NocEvent, NullObserver, Observer};
 use noc_sim::obs::{chrome_trace, jsonl, RingRecorder};
-use noc_sim::{SimConfig, Simulation};
-use noc_topology::{CMesh, Own256};
+use noc_sim::{SimConfig, SimResult, Simulation};
+use noc_topology::{CMesh, Own256, Topology};
 
 fn quick(rate: f64) -> SimConfig {
     SimConfig { rate, warmup: 200, measure: 800, drain: 2_000, ..Default::default() }
+}
+
+/// One run of `topo` with `obs` attached.
+fn observed(topo: &dyn Topology, cfg: SimConfig, obs: Box<dyn Observer>) -> SimResult {
+    let mut sim = Simulation::new(topo, cfg);
+    sim.attach_observer(obs);
+    sim.run()
 }
 
 /// Counters that must be identical between observed and unobserved runs.
@@ -27,11 +34,8 @@ fn fingerprint(net: &noc_core::Network) -> (u64, u64, u64, u64, u64, u64, u64) {
 #[test]
 fn observer_does_not_perturb_results() {
     let plain = Simulation::new(&CMesh::new(64), quick(0.05)).run();
-    let nulled =
-        Simulation::new(&CMesh::new(64), quick(0.05)).with_observer(Box::new(NullObserver)).run();
-    let recorded = Simulation::new(&CMesh::new(64), quick(0.05))
-        .with_observer(Box::new(RingRecorder::new(1 << 16)))
-        .run();
+    let nulled = observed(&CMesh::new(64), quick(0.05), Box::new(NullObserver));
+    let recorded = observed(&CMesh::new(64), quick(0.05), Box::new(RingRecorder::new(1 << 16)));
     assert_eq!(fingerprint(&plain.net), fingerprint(&nulled.net));
     assert_eq!(fingerprint(&plain.net), fingerprint(&recorded.net));
     assert_eq!(plain.avg_latency, nulled.avg_latency);
@@ -50,9 +54,7 @@ fn sampling_does_not_perturb_results() {
 
 #[test]
 fn counting_observer_agrees_with_engine_counters() {
-    let r = Simulation::new(&CMesh::new(64), quick(0.05))
-        .with_observer(Box::new(CountingObserver::new()))
-        .run();
+    let r = observed(&CMesh::new(64), quick(0.05), Box::new(CountingObserver::new()));
     let mut net = r.net;
     let counts = net.take_observer().unwrap().into_any().downcast::<CountingObserver>().unwrap();
     let s = &net.stats;
@@ -70,9 +72,7 @@ fn counting_observer_agrees_with_engine_counters() {
 fn traced_own256_has_token_and_channel_events() {
     let cfg =
         SimConfig { rate: 0.05, warmup: 100, measure: 400, drain: 1_000, ..Default::default() };
-    let r = Simulation::new(&Own256::new(), cfg)
-        .with_observer(Box::new(RingRecorder::new(1 << 20)))
-        .run();
+    let r = observed(&Own256::new(), cfg, Box::new(RingRecorder::new(1 << 20)));
     let mut net = r.net;
     let rec = RingRecorder::take_from(&mut net).expect("recorder comes back out");
     let events = rec.into_events();
@@ -102,9 +102,7 @@ fn traced_own256_has_token_and_channel_events() {
 #[test]
 fn ring_recorder_bounds_memory_on_real_run() {
     let cap = 1_000;
-    let r = Simulation::new(&CMesh::new(64), quick(0.10))
-        .with_observer(Box::new(RingRecorder::new(cap)))
-        .run();
+    let r = observed(&CMesh::new(64), quick(0.10), Box::new(RingRecorder::new(cap)));
     let mut net = r.net;
     let rec = RingRecorder::take_from(&mut net).unwrap();
     assert_eq!(rec.len(), cap, "busy run fills the ring");
@@ -202,9 +200,7 @@ impl Observer for LastEvent {
 
 #[test]
 fn external_observer_implementations_work() {
-    let r = Simulation::new(&CMesh::new(64), quick(0.03))
-        .with_observer(Box::new(LastEvent(None)))
-        .run();
+    let r = observed(&CMesh::new(64), quick(0.03), Box::new(LastEvent(None)));
     let mut net = r.net;
     let last = net.take_observer().unwrap().into_any().downcast::<LastEvent>().unwrap();
     assert!(last.0.is_some(), "events flowed to a user-defined observer");

@@ -1,15 +1,15 @@
 //! The socket layer: accept loop, routing, worker pool lifecycle,
 //! signal-driven graceful shutdown.
 //!
-//! Threading model: one acceptor (non-blocking listener polled at 25 ms
-//! so shutdown is observed promptly), one short-lived thread per
+//! Threading model: one acceptor (blocked in `accept`; shutdown wakes it
+//! with a connection of its own), one short-lived thread per
 //! connection (bounded by `max_connections` with a fast 503 past the
 //! cap), and `workers` long-lived simulation threads sharing the
 //! [`Service`] job queue. No async runtime — see the crate docs for why
 //! that is the right shape here.
 
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -42,11 +42,24 @@ impl ServiceHandle {
     }
 
     /// Graceful drain: stop admitting, cancel in-flight points at a
-    /// cycle boundary (their final checkpoints flush first), join every
-    /// thread. The ledger needs no extra flush — every record was
-    /// written and flushed when journaled.
+    /// cycle boundary (their final checkpoints flush first), wake the
+    /// acceptor, join every thread. The ledger needs no extra flush —
+    /// every record was written and flushed when journaled.
     pub fn shutdown(self) {
         self.svc.begin_shutdown();
+        // The acceptor is blocked in `accept`; one connection of our own
+        // wakes it to see the shutdown flag. A wildcard bind is reached
+        // through loopback.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake.ip() {
+                IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        if let Err(e) = TcpStream::connect(wake) {
+            eprintln!("[svc] waking the acceptor at {wake}: {e}");
+        }
         for t in self.threads {
             let _ = t.join();
         }
@@ -61,7 +74,6 @@ pub fn start(
 ) -> io::Result<ServiceHandle> {
     let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
     let svc = Service::open(cfg, runner)?;
 
     let mut threads = Vec::new();
@@ -86,8 +98,14 @@ pub fn start(
 
 fn accept_loop(listener: TcpListener, svc: Arc<Service>) {
     let live = Arc::new(AtomicUsize::new(0));
-    while !svc.is_shutting_down() {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        // Re-checked after every accept: shutdown's wake connection (or
+        // a client arriving mid-drain) ends the loop unserved.
+        if svc.is_shutting_down() {
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 if live.load(Ordering::Relaxed) >= svc.cfg.max_connections {
                     // Shed before spawning: a connection flood must not
@@ -113,9 +131,6 @@ fn accept_loop(listener: TcpListener, svc: Arc<Service>) {
                 if spawned.is_err() {
                     live.fetch_sub(1, Ordering::Relaxed);
                 }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(25));
             }
             Err(e) => {
                 eprintln!("[svc] accept: {e}");

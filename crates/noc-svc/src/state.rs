@@ -20,7 +20,9 @@
 //! ```
 //!
 //! Everything a restart needs is re-derivable from `sweeps/` plus the
-//! ledger; `results/` is a cache of pure functions of those two.
+//! ledger; `results/` is a cache of pure functions of those two. The
+//! ledger is read once, at boot: from then on the registry holds every
+//! done point's metrics, and status and results are served from it.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io;
@@ -34,8 +36,8 @@ use noc_sim::json;
 use noc_sim::supervisor::spec::Fnv;
 use noc_sim::supervisor::{replay, Ledger, PointState, RunLock};
 use noc_sim::{
-    atomic_write, check_point_cap, render_results, PointOutcome, PointRunner, PointScheduler,
-    PointSpec, SweepSpec,
+    atomic_write, check_point_cap, render_results, PointMetrics, PointOutcome, PointRunner,
+    PointScheduler, PointSpec, SweepSpec,
 };
 
 use crate::config::SvcConfig;
@@ -49,7 +51,7 @@ pub const STATUS_SCHEMA: &str = "own-noc-sweep-status/v1";
 enum PointPhase {
     Queued,
     Running,
-    Done,
+    Done(PointMetrics),
     GaveUp(String),
 }
 
@@ -58,7 +60,7 @@ impl PointPhase {
         match self {
             PointPhase::Queued => "queued",
             PointPhase::Running => "running",
-            PointPhase::Done => "done",
+            PointPhase::Done(_) => "done",
             PointPhase::GaveUp(_) => "gave-up",
         }
     }
@@ -91,6 +93,16 @@ struct Registry {
     /// Bumped on every observable state change; SSE and long-pollers
     /// wait on it.
     version: u64,
+}
+
+impl Registry {
+    /// The metrics of `fp` if it is done.
+    fn done(&self, fp: u64) -> Option<&PointMetrics> {
+        match &self.points.get(&fp)?.phase {
+            PointPhase::Done(m) => Some(m),
+            _ => None,
+        }
+    }
 }
 
 /// A successful admission (or idempotent re-admission).
@@ -186,14 +198,14 @@ impl Service {
                     continue;
                 }
                 let (phase, next_attempt) = match prior.points.get(&fp) {
-                    Some(rp) if matches!(rp.state, PointState::Done(_)) => {
-                        (PointPhase::Done, rp.attempt)
-                    }
-                    // Interrupted, failed, timed-out, even gave-up: a
-                    // restart re-attempts them (same policy as rerunning
-                    // the CLI supervisor on a run-dir), continuing the
-                    // ledger's attempt numbering.
-                    Some(rp) => (PointPhase::Queued, rp.attempt + 1),
+                    Some(rp) => match &rp.state {
+                        PointState::Done(m) => (PointPhase::Done(m.clone()), rp.attempt),
+                        // Interrupted, failed, timed-out, even gave-up: a
+                        // restart re-attempts them (same policy as
+                        // rerunning the CLI supervisor on a run-dir),
+                        // continuing the ledger's attempt numbering.
+                        _ => (PointPhase::Queued, rp.attempt + 1),
+                    },
                     None => (PointPhase::Queued, 0),
                 };
                 if phase == PointPhase::Queued {
@@ -384,8 +396,8 @@ impl Service {
             let done = {
                 let e = reg.points.get_mut(&fp).expect("running point is registered");
                 match outcome {
-                    PointOutcome::Done(_) => {
-                        e.phase = PointPhase::Done;
+                    PointOutcome::Done(m) => {
+                        e.phase = PointPhase::Done(m);
                         true
                     }
                     PointOutcome::GaveUp { reason } => {
@@ -422,17 +434,17 @@ impl Service {
         }
     }
 
-    /// Render and atomically write `results/<id>.json` — once. The file
-    /// is immutable after creation, so restarted services serve the very
-    /// same bytes (the byte-identity half of kill-resume).
+    /// Render `results/<id>.json` from the registry and write it
+    /// atomically — once. The file is immutable after creation, so
+    /// restarted services serve the very same bytes (the byte-identity
+    /// half of kill-resume).
     fn write_results_file(&self, reg: &Registry, id: &str) -> io::Result<()> {
         let path = self.results_path(id);
         if path.exists() {
             return Ok(());
         }
         let entry = reg.sweeps.get(id).expect("caller verified the sweep exists");
-        let rep = replay(&self.cfg.data_dir)?;
-        let body = render_results(entry.spec_fp, &entry.points, &rep)?;
+        let body = render_results(entry.spec_fp, &entry.points, |fp| reg.done(fp))?;
         atomic_write(&path, body.as_bytes())
     }
 }
@@ -457,9 +469,7 @@ fn parse_and_expand(
 
 /// Is every point of `entry` done?
 fn sweep_done(reg: &Registry, entry: &SweepEntry) -> bool {
-    entry.points.iter().all(|p| {
-        reg.points.get(&p.fingerprint()).is_some_and(|e| matches!(e.phase, PointPhase::Done))
-    })
+    entry.points.iter().all(|p| reg.done(p.fingerprint()).is_some())
 }
 
 /// Render the status JSON for one sweep (house encoding: integers as
@@ -475,7 +485,7 @@ fn render_status(reg: &Registry, id: &str, entry: &SweepEntry) -> String {
         let fp = p.fingerprint();
         let e = reg.points.get(&fp).expect("sweep points are registered");
         match e.phase {
-            PointPhase::Done => done += 1,
+            PointPhase::Done(_) => done += 1,
             PointPhase::Running => running += 1,
             PointPhase::Queued => queued += 1,
             PointPhase::GaveUp(_) => gave_up += 1,

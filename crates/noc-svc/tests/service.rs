@@ -12,12 +12,13 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use noc_sim::supervisor::ledger::replay_text;
-use noc_sim::supervisor::LEDGER_FILE;
+use noc_sim::supervisor::{replay, LEDGER_FILE};
 use noc_sim::{
-    PointCtx, PointFailure, PointMetrics, PointRunner, PointSpec, PointState, SupervisorConfig,
+    render_results, PointCtx, PointFailure, PointMetrics, PointRunner, PointSpec, PointState,
+    SupervisorConfig, SweepSpec,
 };
 use noc_svc::config::SvcConfig;
-use noc_svc::server::start;
+use noc_svc::server::{start, ServiceHandle};
 
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("noc-svc-{}-{name}", std::process::id()));
@@ -122,6 +123,36 @@ impl PointRunner for WedgeRunner {
     }
 }
 
+/// Reports metrics no simulation produces but the codec must carry:
+/// NaN, ±inf, -0.0, subnormals and `f64::MAX`, rotated by point idx so
+/// seven points put every value in every float field.
+struct AwkwardRunner;
+
+impl PointRunner for AwkwardRunner {
+    fn run_point(&self, point: &PointSpec, _ctx: &PointCtx) -> Result<PointMetrics, PointFailure> {
+        const AWKWARD: [f64; 7] = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            5e-324,
+            -2.225_073_858_507_201e-308,
+            f64::MAX,
+        ];
+        let pick = |k: usize| AWKWARD[(3 * point.idx + k) % AWKWARD.len()];
+        Ok(PointMetrics {
+            avg_latency: pick(0),
+            p50_latency: 0,
+            p95_latency: u64::MAX,
+            p99_latency: u64::MAX - 1,
+            throughput: pick(1),
+            delivered_fraction: pick(2),
+            packets_measured: point.fingerprint(),
+            cycles: 550,
+        })
+    }
+}
+
 fn test_cfg(dir: &std::path::Path, workers: usize) -> SvcConfig {
     SvcConfig {
         addr: "127.0.0.1:0".into(),
@@ -169,6 +200,73 @@ fn submit_status_results_round_trip() {
     assert!(body2.contains("\"complete\":true"));
 
     handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The service renders results from the metrics it holds in memory; the
+/// bytes must equal a render over a fresh replay of its ledger, even for
+/// values whose text form is unusual.
+#[test]
+fn served_results_equal_a_render_over_a_fresh_ledger_replay() {
+    let dir = scratch("awkward");
+    let handle = start(test_cfg(&dir, 2), Box::new(AwkwardRunner)).expect("service starts");
+    let addr = handle.addr();
+
+    let spec = spec_json(&[1, 2, 3, 4, 5, 6, 7]);
+    let (code, _, body) = post_sweep(addr, &spec);
+    assert_eq!(code, 201, "{body}");
+    let id = sweep_id(&body);
+    wait_complete(addr, &id);
+    let (code, _, served) = get(addr, &format!("/sweeps/{id}/results"));
+    assert_eq!(code, 200);
+
+    let points = SweepSpec::from_json(&spec).unwrap().expand().unwrap();
+    let rep = replay(&dir).unwrap();
+    let spec_fp = u64::from_str_radix(&id, 16).unwrap();
+    let replayed = render_results(spec_fp, &points, |fp| rep.done(fp)).unwrap();
+    assert_eq!(served, replayed, "in-memory and replayed metrics must render identically");
+    for text in ["NaN", "\"inf\"", "-inf", "-0.0", "5e-324", "-2.225073858507201e-308"] {
+        assert!(served.contains(text), "{text} missing from:\n{served}");
+    }
+
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Run `shutdown` on a thread of its own and fail, instead of hanging the
+/// suite, if it does not return within a generous bound — the shape a
+/// missed wake of the blocked acceptor takes.
+fn shutdown_within_10s(handle: ServiceHandle) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let drain = std::thread::spawn(move || {
+        handle.shutdown();
+        let _ = tx.send(());
+    });
+    if let Err(std::sync::mpsc::RecvTimeoutError::Timeout) =
+        rx.recv_timeout(Duration::from_secs(10))
+    {
+        panic!("shutdown did not return within 10 s: the acceptor was not woken");
+    }
+    drain.join().expect("shutdown panicked");
+}
+
+#[test]
+fn service_that_never_received_a_connection_shuts_down() {
+    let dir = scratch("idle");
+    let runner = InstantRunner { calls: Mutex::new(HashMap::new()), delay: Duration::ZERO };
+    let handle = start(test_cfg(&dir, 1), Box::new(runner)).expect("service starts");
+    shutdown_within_10s(handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn service_bound_to_the_wildcard_address_shuts_down() {
+    let dir = scratch("wildcard");
+    let runner = InstantRunner { calls: Mutex::new(HashMap::new()), delay: Duration::ZERO };
+    let cfg = SvcConfig { addr: "0.0.0.0:0".into(), ..test_cfg(&dir, 1) };
+    let handle = start(cfg, Box::new(runner)).expect("service starts");
+    assert!(handle.addr().ip().is_unspecified());
+    shutdown_within_10s(handle);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
