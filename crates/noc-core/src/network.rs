@@ -206,11 +206,6 @@ impl Network {
         self.par.as_deref().map(|p| (p.plan.n_shards, p.threads))
     }
 
-    /// The armed shard plan, if any (tests, audits).
-    pub fn shard_plan(&self) -> Option<&ShardPlan> {
-        self.par.as_deref().map(|p| &p.plan)
-    }
-
     /// Arm a cooperative cancellation token (see [`crate::cancel`]).
     /// Runtime-only supervision state: tokens are never part of a
     /// snapshot, and a restored network starts with whatever token its
@@ -294,26 +289,11 @@ impl Network {
         self.audit_every = every;
     }
 
-    /// The configured in-run audit interval (0 when disabled).
-    pub fn audit_interval(&self) -> u64 {
-        self.audit_every
-    }
-
     /// Attach a fault-injection configuration (replacing any previous one).
     /// Scheduled faults fire on the cycles given in the schedule; the BER
     /// process applies from the next delivery onward.
     pub fn attach_faults(&mut self, cfg: FaultConfig) {
         self.fault = Some(Box::new(FaultCtx::new(cfg, self.channels.len(), self.buses.len())));
-    }
-
-    /// Whether a fault configuration is attached.
-    pub fn has_faults(&self) -> bool {
-        self.fault.is_some()
-    }
-
-    /// The attached fault configuration, if any.
-    pub fn fault_config(&self) -> Option<&FaultConfig> {
-        self.fault.as_deref().map(|c| &c.cfg)
     }
 
     /// Attach an event observer (replacing any previous one). Events start

@@ -11,7 +11,7 @@
 //! the single-threaded boundary phase. Parallelism across simulations (one
 //! per sweep point) keeps working as before — one `NetStats` per network.
 
-use crate::ids::{ChannelId, CoreId, Cycle};
+use crate::ids::{CoreId, Cycle};
 
 /// A latency histogram with fixed-width buckets plus exact sum/max.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -264,12 +264,6 @@ impl NetStats {
             return 0.0;
         }
         (self.measured_flits_ejected - ejected_at_start) as f64 / (cycles as f64 * cores as f64)
-    }
-
-    /// Total wireless/photonic/electrical traversal helper: flits over one
-    /// channel id.
-    pub fn channel_traffic(&self, ch: ChannelId) -> u64 {
-        self.channel_flits[ch as usize]
     }
 }
 

@@ -33,6 +33,8 @@
 //! assert!(ClassAbPa::default().can_drive_dbm(p));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod coding;
 pub mod geometry;
 pub mod interference;

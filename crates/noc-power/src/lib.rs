@@ -32,6 +32,8 @@
 //! assert!(sr < c2c);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod area;
 pub mod budget;
 pub mod configs;

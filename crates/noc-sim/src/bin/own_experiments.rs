@@ -88,6 +88,8 @@
 //! topology or pattern) are diagnosed before anything runs, and exit with
 //! status 2.
 
+#![forbid(unsafe_code)]
+
 use std::io;
 use std::path::Path;
 use std::time::Instant;

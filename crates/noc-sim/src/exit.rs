@@ -50,8 +50,8 @@ pub const TABLE: &[(i32, &str)] = &[
     (
         LOCKED,
         "locked — another live process holds the `supervisor.lock` of this `--run-dir` or \
-         service `--data-dir`; rerun after it exits (stale locks of dead processes are \
-         taken over automatically)",
+         service `--data-dir`; rerun after it exits (the lock is released when its holder \
+         exits, however it exits)",
     ),
 ];
 

@@ -17,6 +17,8 @@
 //!          result.avg_latency, result.throughput);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 /// Process measurements for the benchmark of record (`perfbench/`).
 pub mod bench {

@@ -587,11 +587,6 @@ fn jsonl_event(out: &mut String, ev: &NocEvent) {
     }
 }
 
-/// Write a Chrome trace for `events` to `path`.
-pub fn write_chrome_trace(path: &Path, events: &[NocEvent]) -> io::Result<()> {
-    std::fs::write(path, chrome_trace(events))
-}
-
 /// Write a Chrome trace including the stall diagnostic, when one fired.
 pub fn write_chrome_trace_with_stall(
     path: &Path,
@@ -599,11 +594,6 @@ pub fn write_chrome_trace_with_stall(
     stall: Option<&StallReport>,
 ) -> io::Result<()> {
     std::fs::write(path, chrome_trace_with_stall(events, stall))
-}
-
-/// Write JSONL for `events` to `path`.
-pub fn write_jsonl(path: &Path, events: &[NocEvent]) -> io::Result<()> {
-    std::fs::write(path, jsonl(events))
 }
 
 /// Write JSONL including the stall diagnostic line, when one fired.

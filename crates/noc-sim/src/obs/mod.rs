@@ -31,8 +31,7 @@ pub mod sampler;
 
 pub use export::{
     chrome_trace, chrome_trace_with_stall, jsonl, jsonl_with_stall, recovery_report_json,
-    stall_report_json, write_chrome_trace, write_chrome_trace_with_stall, write_jsonl,
-    write_jsonl_with_stall,
+    stall_report_json, write_chrome_trace_with_stall, write_jsonl_with_stall,
 };
 pub use recorder::RingRecorder;
 pub use sampler::{Sample, SampleSeries};

@@ -1,192 +1,75 @@
-//! Run-directory lockfile: at most one supervisor (or sweep service) may
+//! Run-directory lock: at most one supervisor (or sweep service) may
 //! write a ledger at a time.
 //!
 //! Two supervisors interleaving appends into one `ledger.jsonl` would
 //! corrupt the journal's meaning (their `run-start` boundaries and point
 //! attempts shuffle together), so every writer takes `supervisor.lock`
-//! first. The lock is a small text file created with `O_EXCL` (the
-//! creation itself is the atomic claim) holding the owner's PID and — on
-//! Linux — the PID's start time from `/proc/<pid>/stat`, which
-//! distinguishes a live owner from a recycled PID.
+//! first. The claim is an advisory kernel lock on that file
+//! ([`File::try_lock`]), held for as long as the [`RunLock`] guard keeps
+//! the file open. The kernel releases it when the handle closes, however
+//! the holder ends — SIGKILL included — so a lock never goes stale and
+//! nothing has to judge whether a recorded owner still lives.
 //!
-//! A SIGKILLed owner leaves the file behind; the next acquirer performs a
-//! liveness check and **takes over a stale lock**: the recorded PID is
-//! gone (or its start time no longer matches), so the file is deleted and
-//! the claim retried. A *live* owner makes acquisition fail with
+//! The file itself is never deleted: a process that unlinked it while
+//! another still held it would let a third lock a fresh inode beside the
+//! held one. It is not fsynced either: no process holds a lock after a
+//! power loss, so a durable lock file would guarantee nothing. Its body,
+//! `pid <n>`, only names the holder in the refusal message.
+//!
+//! A held lock makes acquisition fail with
 //! [`std::io::ErrorKind::WouldBlock`], which the CLI and the service map
 //! to exit code 8 (`noc_sim::exit::LOCKED`).
 
-use std::io::{self, Write as _};
+use std::fs::{File, TryLockError};
+use std::io::{self, Read as _, Write as _};
 use std::path::{Path, PathBuf};
 
 /// Lock file name inside a run directory.
 pub const LOCK_FILE: &str = "supervisor.lock";
 
-/// Bound on stale-lock takeover retries: each loop either creates the
-/// file or observes a *different* holder, so more than a handful of laps
-/// means we are racing a livelock of crashing owners — give up loudly.
-const TAKEOVER_RETRIES: u32 = 16;
-
-/// RAII guard on a run directory. Dropping it releases the lock (only if
-/// the file still carries our token — a takeover after our own demise
-/// must not be clobbered by a late destructor).
+/// RAII guard on a run directory. Dropping it closes the file, which
+/// releases the lock.
 #[derive(Debug)]
 pub struct RunLock {
     path: PathBuf,
-    token: String,
+    _file: File,
 }
 
 impl RunLock {
     /// Claim `dir` (created if missing) for this process. Returns
-    /// [`io::ErrorKind::WouldBlock`] when a *live* process holds it.
+    /// [`io::ErrorKind::WouldBlock`] when another holder has it.
     pub fn acquire(dir: &Path) -> io::Result<RunLock> {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(LOCK_FILE);
-        let token = lock_token(std::process::id());
-        for _ in 0..TAKEOVER_RETRIES {
-            match std::fs::OpenOptions::new().write(true).create_new(true).open(&path) {
-                Ok(mut f) => {
-                    f.write_all(token.as_bytes())?;
-                    // The claim must be durable before we start writing
-                    // the ledger it protects.
-                    f.sync_all()?;
-                    drop(f);
-                    crate::checkpoint::fsync_dir(dir)?;
-                    return Ok(RunLock { path, token });
-                }
-                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
-                    let held = std::fs::read_to_string(&path).unwrap_or_default();
-                    match parse_token(&held) {
-                        Some((pid, start)) if holder_is_alive(pid, start) => {
-                            return Err(io::Error::new(
-                                io::ErrorKind::WouldBlock,
-                                format!(
-                                    "{} is locked by live process {pid}; a concurrent \
-                                     supervisor on one run-dir would corrupt the ledger \
-                                     (remove {} only if you are sure that process is not \
-                                     a sweep writer)",
-                                    dir.display(),
-                                    path.display(),
-                                ),
-                            ));
-                        }
-                        _ => {
-                            // Stale (dead PID, recycled PID, or garbage
-                            // content): take it over. Ignore a NotFound
-                            // race — someone else's takeover beat ours,
-                            // and the retry will sort out who wins.
-                            match std::fs::remove_file(&path) {
-                                Ok(()) => {}
-                                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                                Err(e) => return Err(e),
-                            }
-                        }
-                    }
-                }
-                Err(e) => return Err(e),
+        let mut file =
+            File::options().read(true).write(true).create(true).truncate(false).open(&path)?;
+        match file.try_lock() {
+            Ok(()) => {}
+            Err(TryLockError::WouldBlock) => {
+                let mut held = String::new();
+                let _ = file.read_to_string(&mut held);
+                let pid = held.strip_prefix("pid ").and_then(|s| s.split_whitespace().next());
+                let pid = pid.unwrap_or("?");
+                return Err(io::Error::new(
+                    io::ErrorKind::WouldBlock,
+                    format!(
+                        "{} is locked by live process {pid}; a concurrent supervisor on one \
+                         run-dir would corrupt the ledger",
+                        dir.display(),
+                    ),
+                ));
             }
+            Err(TryLockError::Error(e)) => return Err(e),
         }
-        Err(io::Error::new(
-            io::ErrorKind::WouldBlock,
-            format!(
-                "{}: could not claim {LOCK_FILE} after {TAKEOVER_RETRIES} stale-lock \
-                 takeover attempts (another writer keeps recreating it)",
-                dir.display()
-            ),
-        ))
+        file.set_len(0)?;
+        file.write_all(format!("pid {}\n", std::process::id()).as_bytes())?;
+        Ok(RunLock { path, _file: file })
     }
 
     /// The lock file path (tests and diagnostics).
     pub fn path(&self) -> &Path {
         &self.path
     }
-}
-
-impl Drop for RunLock {
-    fn drop(&mut self) {
-        // Release only if we still own it: a stale-takeover of *our*
-        // token cannot have happened while we are alive, but be
-        // defensive — never delete someone else's claim.
-        if std::fs::read_to_string(&self.path).is_ok_and(|held| held == self.token) {
-            let _ = std::fs::remove_file(&self.path);
-        }
-    }
-}
-
-/// The lock file body for `pid`: `pid <n> start <ticks>\n`, where the
-/// start-time field is `-` when `/proc` is unavailable.
-fn lock_token(pid: u32) -> String {
-    match proc_start_time(pid) {
-        Some(t) => format!("pid {pid} start {t}\n"),
-        None => format!("pid {pid} start -\n"),
-    }
-}
-
-/// Parse a lock file body; `None` for garbage (treated as stale).
-fn parse_token(s: &str) -> Option<(u32, Option<u64>)> {
-    let mut it = s.split_whitespace();
-    if it.next()? != "pid" {
-        return None;
-    }
-    let pid: u32 = it.next()?.parse().ok()?;
-    let start = match (it.next(), it.next()) {
-        (Some("start"), Some("-")) => None,
-        (Some("start"), Some(t)) => Some(t.parse().ok()?),
-        _ => None,
-    };
-    Some((pid, start))
-}
-
-/// Field 22 (`starttime`, in clock ticks since boot) of
-/// `/proc/<pid>/stat` — the cheap Linux defence against PID recycling.
-/// `None` off-Linux or for a vanished process.
-fn proc_start_time(pid: u32) -> Option<u64> {
-    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).ok()?;
-    // comm (field 2) may contain spaces and parens; fields resume after
-    // the *last* ')'. starttime is overall field 22 = index 19 there.
-    let rest = stat.get(stat.rfind(')')? + 2..)?;
-    rest.split(' ').nth(19)?.parse().ok()
-}
-
-/// Is the recorded holder still the same live process?
-fn holder_is_alive(pid: u32, recorded_start: Option<u64>) -> bool {
-    if !pid_alive(pid) {
-        return false;
-    }
-    match (recorded_start, proc_start_time(pid)) {
-        // Start times known on both sides: alive only if it is the SAME
-        // incarnation of the PID.
-        (Some(rec), Some(now)) => rec == now,
-        // A PID that matches our own but predates us (e.g. a container
-        // restarting as PID 1) cannot be a live concurrent writer.
-        _ if pid == std::process::id() => false,
-        // No start-time evidence either way: trust the kill(0) probe.
-        _ => true,
-    }
-}
-
-/// `kill(pid, 0)` probe: signal 0 delivers nothing but performs the
-/// permission/existence checks. EPERM still means "exists".
-#[cfg(unix)]
-fn pid_alive(pid: u32) -> bool {
-    extern "C" {
-        fn kill(pid: i32, sig: i32) -> i32;
-    }
-    let Ok(pid) = i32::try_from(pid) else { return false };
-    if unsafe { kill(pid, 0) } == 0 {
-        return true;
-    }
-    // EPERM (1): the process exists but belongs to someone else.
-    std::io::Error::last_os_error().raw_os_error() == Some(1)
-}
-
-/// Without a portable liveness probe, every lock looks stale. That errs
-/// toward takeover — the same availability-over-exclusion tradeoff a
-/// crashed-owner file forces anyway — and this workspace only targets
-/// unix in practice.
-#[cfg(not(unix))]
-fn pid_alive(_pid: u32) -> bool {
-    false
 }
 
 #[cfg(test)]
@@ -205,7 +88,6 @@ mod tests {
         let lock = RunLock::acquire(&dir).expect("fresh dir must lock");
         assert!(lock.path().exists());
         drop(lock);
-        assert!(!dir.join(LOCK_FILE).exists(), "drop must release");
         let _again = RunLock::acquire(&dir).expect("released lock must re-acquire");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -214,8 +96,8 @@ mod tests {
     fn live_holder_blocks_second_acquire() {
         let dir = scratch("live");
         let _held = RunLock::acquire(&dir).unwrap();
-        // The holder is this very (live) process, recorded with its real
-        // start time, so the incarnation check confirms liveness.
+        // The lock belongs to the open file description, so a second open
+        // conflicts even within one process.
         let e = RunLock::acquire(&dir).expect_err("second writer must be refused");
         assert_eq!(e.kind(), io::ErrorKind::WouldBlock);
         assert!(e.to_string().contains("locked by live process"), "got: {e}");
@@ -245,14 +127,46 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Racers released together onto a left-over lock file: every round
+    /// admits exactly one holder. Winners keep their guard until all
+    /// racers of the round have tried, so a late racer cannot win a lock
+    /// released early.
     #[test]
-    fn token_round_trips() {
-        assert_eq!(parse_token("pid 42 start 123\n"), Some((42, Some(123))));
-        assert_eq!(parse_token("pid 42 start -\n"), Some((42, None)));
-        assert_eq!(parse_token(""), None);
-        assert_eq!(parse_token("pid nope"), None);
-        let own = lock_token(std::process::id());
-        let (pid, _start) = parse_token(&own).expect("own token parses");
-        assert_eq!(pid, std::process::id());
+    fn racing_acquirers_admit_exactly_one_holder() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::{Arc, Barrier};
+
+        const RACERS: usize = 8;
+        const ROUNDS: usize = 300;
+        let dir = scratch("race");
+        std::fs::create_dir_all(&dir).unwrap();
+        for round in 0..ROUNDS {
+            std::fs::write(dir.join(LOCK_FILE), "pid 4194303 start 0\n").unwrap();
+            let start = Arc::new(Barrier::new(RACERS));
+            let tried = Arc::new(Barrier::new(RACERS));
+            let holders = Arc::new(AtomicUsize::new(0));
+            let racers: Vec<_> = (0..RACERS)
+                .map(|_| {
+                    let (dir, start, tried) = (dir.clone(), start.clone(), tried.clone());
+                    let holders = holders.clone();
+                    std::thread::spawn(move || {
+                        start.wait();
+                        let got = RunLock::acquire(&dir);
+                        if got.is_ok() {
+                            holders.fetch_add(1, Ordering::SeqCst);
+                        }
+                        tried.wait();
+                        got.map(drop).map_err(|e| e.kind())
+                    })
+                })
+                .collect();
+            for r in racers {
+                if let Err(kind) = r.join().unwrap() {
+                    assert_eq!(kind, io::ErrorKind::WouldBlock, "round {round}");
+                }
+            }
+            assert_eq!(holders.load(Ordering::SeqCst), 1, "round {round}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -2,13 +2,15 @@
 //! `--spec` runs a single-point experiment, an invalid spec exits 2
 //! before any simulation runs, and `--json` output parses as JSON. Also
 //! `--resume` across a change of `--metrics-out`, a bad value of every
-//! valued flag, and `sweep --point-checkpoint 0`.
+//! valued flag, `sweep --point-checkpoint 0`, and a sweep refused by a
+//! run-dir lock that another process holds.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 use noc_sim::exit;
 use noc_sim::json::Value;
+use noc_sim::supervisor::RunLock;
 
 fn run(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_own-experiments")).args(args).output().unwrap()
@@ -236,5 +238,28 @@ fn point_checkpoint_0_sweeps_without_checkpoints() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     assert!(run_dir.join("results.json").exists(), "the sweep did not complete");
     assert!(!run_dir.join("ckpt").exists(), "checkpoints written with --point-checkpoint 0");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The run-dir lock conflicts across processes, not just across handles
+/// of one process: while this test holds it, the binary exits 8 without
+/// running the sweep; once the guard drops, the same command completes.
+#[test]
+fn sweep_on_a_run_dir_locked_by_another_process_exits_8() {
+    let dir = scratch("locked-run-dir");
+    let spec = write_spec(&dir, "sweep", TINY_SWEEP);
+    let run_dir = dir.join("run");
+    let run_dir_arg = run_dir.display().to_string();
+    let lock = RunLock::acquire(&run_dir).unwrap();
+    let out = run(&["sweep", &spec, "--run-dir", &run_dir_arg]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(exit::LOCKED), "{stderr}");
+    let holder = format!("locked by live process {}", std::process::id());
+    assert!(stderr.contains(&holder), "{stderr}");
+    assert!(!run_dir.join("results.json").exists(), "the sweep ran under a held lock");
+    drop(lock);
+    let out = run(&["sweep", &spec, "--run-dir", &run_dir_arg]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(run_dir.join("results.json").exists(), "the sweep did not complete");
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -12,7 +12,7 @@
 //!
 //! ```text
 //! data-dir/
-//!   supervisor.lock     exclusive-writer lock (PID + liveness)
+//!   supervisor.lock     exclusive-writer lock (kernel file lock; body names the PID)
 //!   ledger.jsonl        global WAL; `svc-start` markers bound each boot
 //!   ckpt/<fp>/          per-point checkpoints (resume mid-point)
 //!   sweeps/<id>.json    admitted specs, pinned at admission

@@ -30,6 +30,8 @@
 //! assert!(net.drain(2_000));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod channels;
 pub mod cmesh;
 pub mod normalize;

@@ -20,6 +20,8 @@
 //! }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod injector;
 pub mod pattern;
 pub mod trace;

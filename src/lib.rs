@@ -13,6 +13,8 @@
 //! * [`sim`](noc_sim) — simulation driver, metrics, sweeps and the
 //!   experiment runners that regenerate every table and figure.
 
+#![forbid(unsafe_code)]
+
 pub use noc_core as core;
 pub use noc_phy as phy;
 pub use noc_power as power;
